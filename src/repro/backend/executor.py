@@ -77,7 +77,11 @@ BACKEND_PRESETS: dict[str, BackendOptions] = {
 # LRU (the DecodeCache discipline): prepared graphs and plans carry whole
 # weight sets, so an unbounded cache would pin every model a long-lived
 # process (the serve layer, a sweep worker) ever touched.  Dead graphs are
-# additionally evicted eagerly by a weakref finalizer.
+# additionally evicted by a weakref finalizer: it only records the dead
+# graph's token, and the next cache call drops that graph's entries under
+# the lock.  The finalizer may fire on any thread at any allocation (the
+# cyclic GC runs it), including inside this module's own critical
+# sections, so it must never touch the cache itself.
 # ---------------------------------------------------------------------------
 
 #: Prepared-cache bounds.  Byte accounting counts each entry's initializer
@@ -91,11 +95,8 @@ _PREPARED_TOKENS: set[int] = set()    # tokens with a registered finalizer
 _PREPARED_NBYTES = 0
 _PREPARED_HITS = 0
 _PREPARED_MISSES = 0
-# Reentrant: _evict_token runs as a weakref finalizer, which the cyclic GC
-# may fire on *this* thread mid-critical-section (any allocation can trigger
-# a collection).  Re-entry is safe — a finalizer only pops the dead graph's
-# own keys, never one a live caller is working on.
-_PREPARE_LOCK = threading.RLock()
+_DEAD_TOKENS: list[int] = []          # collected graphs awaiting eviction
+_PREPARE_LOCK = threading.Lock()
 
 
 def _graph_token(graph: Graph) -> int:
@@ -115,12 +116,21 @@ def _prepared_sizeof(value) -> int:
 
 
 def _evict_token(token: int) -> None:
-    """weakref finalizer: drop every entry of a collected graph."""
+    """weakref finalizer: record a collected graph for eviction.
+
+    ``list.append`` is atomic, so this takes no lock and touches nothing
+    a caller may be iterating.
+    """
+    _DEAD_TOKENS.append(token)
+
+
+def _drain_dead() -> None:
+    """Drop every entry of the collected graphs; caller holds the lock."""
     global _PREPARED_NBYTES
-    with _PREPARE_LOCK:
+    while _DEAD_TOKENS:
+        token = _DEAD_TOKENS.pop()
         _PREPARED_TOKENS.discard(token)
-        stale = [k for k in _PREPARED if k[0] == token]
-        for k in stale:
+        for k in [k for k in _PREPARED if k[0] == token]:
             _PREPARED_NBYTES -= _prepared_sizeof(_PREPARED.pop(k))
 
 
@@ -139,6 +149,7 @@ def prepare_cached(graph: Graph, key, transform):
     token = _graph_token(graph)
     full_key = (token, key)
     with _PREPARE_LOCK:
+        _drain_dead()
         hit = _PREPARED.get(full_key)
         if hit is not None:
             _PREPARED_HITS += 1
@@ -167,6 +178,7 @@ def prepared_cache_stats() -> dict:
     """Entry/byte/hit counters of the prepared-graph cache (for tests and
     the profiler's cache report)."""
     with _PREPARE_LOCK:
+        _drain_dead()
         return {"entries": len(_PREPARED), "bytes": _PREPARED_NBYTES,
                 "hits": _PREPARED_HITS, "misses": _PREPARED_MISSES}
 
@@ -175,6 +187,7 @@ def clear_prepared_cache() -> None:
     """Drop every prepared graph/plan (tests; frees pinned weight copies)."""
     global _PREPARED_NBYTES, _PREPARED_HITS, _PREPARED_MISSES
     with _PREPARE_LOCK:
+        _drain_dead()
         _PREPARED.clear()
         _PREPARED_NBYTES = 0
         _PREPARED_HITS = _PREPARED_MISSES = 0

@@ -88,13 +88,14 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
     # Per-input-shape scratch: padded map + column buffer, preallocated once
     # and reused every run (the arena part of the memory plan).  Bit parity
     # requires matching not just the gather's *values* but its memory
-    # *layout* — BLAS rounding depends on operand strides.  im2col's fancy
-    # gather yields a C-contiguous copy for k>1 (the take-gather below
-    # reproduces it exactly) but a (positions, batch, channels)-ordered
-    # transposed view for k==1 (a NumPy advanced-indexing artifact), which
-    # the k1 buffer reproduces stride for stride.  Thread-local, because a
-    # cached plan is shared by every caller and sweeps run plans from
-    # thread pools — two threads must never fill the same buffer.
+    # *layout* — BLAS rounding depends on operand strides.  im2col yields a
+    # C-contiguous window copy for k>1 (the take-gather below reproduces it
+    # exactly) but, from its fancy gather, a (positions, batch,
+    # channels)-ordered transposed view for k==1 (a NumPy advanced-indexing
+    # artifact), which the k1 buffer reproduces stride for stride.
+    # Thread-local, because a cached plan is shared by every caller and
+    # sweeps run plans from thread pools — two threads must never fill the
+    # same buffer.
     tls = threading.local()
 
     def _plan_for(shape):

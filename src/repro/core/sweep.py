@@ -70,7 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import EvalCache, dataset_token, eval_key, streams_digest
+from .cache import (DecodeCache, EvalCache, dataset_token, eval_key,
+                    streams_digest)
 from .faults import fault_point
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import combined_config, get_noise, worst_case_stack
@@ -232,7 +233,9 @@ class SweepEngine:
         #: cells evaluate through the adapter's shard pipeline (bounded
         #: memory, per-shard ledger entries, (variant × shard) process
         #: scheduling).  ``pipeline_cache`` memoises the calibration slice
-        #: and deployment-model copies — data chunks are never cached.
+        #: and deployment-model copies; decoded data chunks are cached only
+        #: in a shared sweep's one-shard scratch (see :meth:`_shared_map`)
+        #: and by process-mode workers.
         self.shard_size = shard_size
         self.task = task
         self.batch_size = batch_size
@@ -433,29 +436,34 @@ class SweepEngine:
                            "without persistence — this run cannot be "
                            "resumed past the entries already on disk", exc)
 
-    def _partials(self, adapter, model, ds, cfg: NoiseConfig, bounds):
+    def _partials(self, adapter, model, ds, cfg: NoiseConfig, bounds,
+                  chunk_cache: DecodeCache | None = None):
         """Shard partials, routed through the test-time mitigation when set.
 
         Test-time mitigations adapt per inference batch and batches are cut
         at global offsets, so the results are identical for any shard split
         at fixed batch geometry — serial, process and shared sweeps of the
-        same mitigated cell stay bit-identical.
+        same mitigated cell stay bit-identical.  ``chunk_cache`` memoises
+        decoded chunks (decode is per image, so a cached chunk is the same
+        bits).
         """
         if self._test_mitigation is not None:
             from .mitigations import mitigation_partials
             return mitigation_partials(
                 self._test_mitigation, adapter, model, ds, cfg, bounds,
-                cache=self.pipeline_cache, batch_size=self.batch_size)
+                cache=self.pipeline_cache, batch_size=self.batch_size,
+                chunk_cache=chunk_cache)
         if self.inference == "plan":
             # The plan predict hook slots into the same per-batch seam as
             # test-time mitigations, so shard layouts stay bit-identical.
             return adapter.evaluate_partials(
                 model, ds, cfg, bounds, cache=self.pipeline_cache,
-                batch_size=self.batch_size,
+                batch_size=self.batch_size, chunk_cache=chunk_cache,
                 predict=self._plan_predictor.bind(model))
         return adapter.evaluate_partials(model, ds, cfg, bounds,
                                          cache=self.pipeline_cache,
-                                         batch_size=self.batch_size)
+                                         batch_size=self.batch_size,
+                                         chunk_cache=chunk_cache)
 
     def _compute_sharded(self, plan, model, ds, cfg: NoiseConfig,
                          noise: str | None, lkey) -> float:
@@ -638,6 +646,15 @@ class SweepEngine:
         a shared run renders is byte-identical to the serial one because
         the *data* that reaches it is identical.
 
+        Sharded datasets are claimed **shard-major**: for each shard bound
+        the worker tries every unresolved cell's ``shard-*`` claim, then
+        moves to the next bound, and the ``eval-*`` merges come after all
+        shards.  Each shard pass shares one decode scratch sized to the
+        row's distinct decoders, so a worker decodes each (shard, decoder)
+        once per pass instead of once per cell.  The scratch dies with its
+        pass, which keeps memory O(shard): a session-wide chunk cache would
+        hold every decoded shard of the dataset.
+
         Returns None — falling back to the local path — when no ledger is
         attached or any cell has no stable ledger identity (without a
         shared ledger there is nothing to coordinate through).
@@ -648,6 +665,8 @@ class SweepEngine:
         if any(k is None for k in lkeys):
             return None
         wq = self._shared_queue()
+        plan = self._shard_plan(ds)
+        decoders = len({cfg.decoder for cfg in cfgs})
         n = len(cfgs)
         values: list[float] = [float("nan")] * n
         errors: dict[int, str] = {}
@@ -667,17 +686,26 @@ class SweepEngine:
             progressed = False
             for i in sorted(unresolved):
                 out = self.ledger.outcome(*lkeys[i])
-                if out is not None:
-                    if out.get("status") == "ok":
-                        values[i] = float(out["value"])
-                        key = self._cache_key(model, ds, cfgs[i])
-                        if key is not None:
-                            self.eval_cache.put(key, values[i])
-                    else:
-                        errors[i] = str(out.get("error", "unknown failure"))
-                    unresolved.discard(i)
-                    progressed = True
+                if out is None:
                     continue
+                if out.get("status") == "ok":
+                    values[i] = float(out["value"])
+                    key = self._cache_key(model, ds, cfgs[i])
+                    if key is not None:
+                        self.eval_cache.put(key, values[i])
+                else:
+                    errors[i] = str(out.get("error", "unknown failure"))
+                unresolved.discard(i)
+                progressed = True
+            pending = sorted(unresolved)
+            for bound in (plan[1] if plan is not None else ()):
+                scratch = DecodeCache(maxsize=decoders)
+                for i in pending:
+                    if self._shared_cell(wq, evaluate, model, ds, cfgs[i],
+                                         names[i], lkeys[i], shard=bound,
+                                         chunk_cache=scratch):
+                        progressed = True
+            for i in pending:
                 if self._shared_cell(wq, evaluate, model, ds, cfgs[i],
                                      names[i], lkeys[i]):
                     progressed = True
@@ -710,16 +738,21 @@ class SweepEngine:
             logger.debug("post-run lease prune failed", exc_info=True)
 
     def _shared_cell(self, wq, evaluate, model, ds, cfg: NoiseConfig,
-                     noise: str | None, lkey) -> bool:
+                     noise: str | None, lkey,
+                     shard: tuple[int, int] | None = None,
+                     chunk_cache: DecodeCache | None = None) -> bool:
         """Try to advance one unresolved cell; True when progress was made.
 
-        Sharded datasets are claimed at (cell × shard) granularity plus a
-        final merge claim; unsharded cells are one ``eval-*`` claim.  Every
-        successful claim re-checks the ledger before executing (the work
-        may have completed between our read and our claim) and re-checks
-        lease ownership (:meth:`~repro.core.workqueue.Lease.still_owned`)
-        before recording — a worker whose lease expired mid-compute has
-        been reclaimed and must discard its result, not double-record it.
+        Sharded datasets are claimed at (cell × shard) granularity — with
+        ``shard`` naming the bound and ``chunk_cache`` the shard pass's
+        decode scratch — plus a merge claim once every shard is ledgered
+        (``shard=None``); unsharded cells are one ``eval-*`` claim.  Every
+        successful claim refreshes the ledger and re-checks it before
+        executing (a peer may have finished the work between our last
+        refresh and our claim) and re-checks lease ownership
+        (:meth:`~repro.core.workqueue.Lease.still_owned`) before recording —
+        a worker whose lease expired mid-compute has been reclaimed and
+        must discard its result, not double-record it.
 
         An in-process evaluation failure releases the claim *without*
         recording; the claim itself already burned one attempt in the
@@ -729,74 +762,44 @@ class SweepEngine:
         """
         tag = self._cell_tag(lkey)
         plan = self._shard_plan(ds)
-        progressed = False
-        if plan is not None:
-            adapter, bounds = plan
-            missing = [(a, b) for a, b in bounds
-                       if self._ledger_shard_hit(lkey, a, b) is None]
-            for start, stop in missing:
-                item = f"shard-{tag}-{start}-{stop}"
-                lease = wq.try_claim(item)
-                if lease is None:
-                    continue
-                try:
-                    if self._ledger_shard_hit(lkey, start, stop) is not None:
-                        continue               # a peer finished it meanwhile
-                    if wq.poisoned(item):
-                        self._shared_poison(wq, item, lkey, noise, cfg)
-                        progressed = True
-                        continue
-                    fault_point("sweep.shard",
-                                label=f"{cfg.describe()}@{start}:{stop}")
-                    part = None
-                    for _s, _e, p in self._partials(adapter, model, ds, cfg,
-                                                    [(start, stop)]):
-                        part = p
-                    if part is not None and lease.still_owned():
-                        self._ledger_shard_record(lkey, start, stop,
-                                                  part.state(), noise, cfg)
-                    progressed = True
-                except SweepCancelled:
-                    raise
-                except Exception as exc:       # noqa: BLE001 — isolate cell
-                    logger.warning("shared shard failed (%s @%d:%d): %s",
-                                   cfg.describe(), start, stop, exc)
-                    progressed = True
-                finally:
-                    lease.release()
-            if missing:
-                return progressed
-            # All shards ledgered: one worker claims the merge.
-            item = f"eval-{tag}"
+        if plan is not None and shard is not None:
+            adapter, _ = plan
+            start, stop = shard
+            if self._ledger_shard_hit(lkey, start, stop) is not None:
+                return False
+            item = f"shard-{tag}-{start}-{stop}"
             lease = wq.try_claim(item)
             if lease is None:
-                return progressed
+                return False
             try:
                 self.ledger.refresh()
-                if self.ledger.outcome(*lkey) is not None:
-                    return True
+                if self._ledger_shard_hit(lkey, start, stop) is not None:
+                    return False               # a peer finished it meanwhile
                 if wq.poisoned(item):
                     self._shared_poison(wq, item, lkey, noise, cfg)
                     return True
-                # Every shard state is on disk — this is a pure merge.
-                value = float(self._compute_sharded(plan, model, ds, cfg,
-                                                    noise, lkey))
-                if lease.still_owned():
-                    key = self._cache_key(model, ds, cfg)
-                    if key is not None:
-                        self.eval_cache.put(key, value)
-                    self._ledger_record(lkey, status="ok", value=value,
-                                        noise=noise, label=cfg.describe(),
-                                        attempts=wq.attempts(item))
+                fault_point("sweep.shard",
+                            label=f"{cfg.describe()}@{start}:{stop}")
+                part = None
+                for _s, _e, p in self._partials(adapter, model, ds, cfg,
+                                                [shard], chunk_cache):
+                    part = p
+                if part is not None and lease.still_owned():
+                    self._ledger_shard_record(lkey, start, stop,
+                                              part.state(), noise, cfg)
                 return True
             except SweepCancelled:
                 raise
             except Exception as exc:           # noqa: BLE001 — isolate cell
-                logger.warning("shared merge failed (%s): %s",
-                               cfg.describe(), exc)
+                logger.warning("shared shard failed (%s @%d:%d): %s",
+                               cfg.describe(), start, stop, exc)
                 return True
             finally:
                 lease.release()
+        if plan is not None and any(
+                self._ledger_shard_hit(lkey, a, b) is None
+                for a, b in plan[1]):
+            return False                       # shards still outstanding
         item = f"eval-{tag}"
         lease = wq.try_claim(item)
         if lease is None:
@@ -809,12 +812,18 @@ class SweepEngine:
                 self._shared_poison(wq, item, lkey, noise, cfg)
                 return True
             try:
-                fault_point("sweep.cell", label=cfg.describe())
-                value = float(evaluate(model, ds, cfg))
+                if plan is not None:
+                    # Every shard state is on disk — this is a pure merge.
+                    value = float(self._compute_sharded(plan, model, ds, cfg,
+                                                        noise, lkey))
+                else:
+                    fault_point("sweep.cell", label=cfg.describe())
+                    value = float(evaluate(model, ds, cfg))
             except SweepCancelled:
                 raise
             except Exception as exc:           # noqa: BLE001 — isolate cell
-                logger.warning("shared evaluation failed (%s): %s",
+                logger.warning("shared %s failed (%s): %s",
+                               "merge" if plan is not None else "evaluation",
                                cfg.describe(), exc)
                 return True
             if lease.still_owned():

@@ -96,27 +96,69 @@ def _patch_indices(h: int, w: int, kh: int, kw: int, stride: int, dilation: int,
     return rows, cols
 
 
+def _padded(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+            dilation: int, oh: int, ow: int,
+            pad_value: float) -> tuple[np.ndarray, int, int]:
+    """``(padded map, pad_b, pad_r)`` holding ``oh`` × ``ow`` windows.
+
+    Pads ``pad`` on every side, plus enough on the right/bottom for
+    ceil-mode windows that overrun.
+    """
+    h, w = x.shape[2], x.shape[3]
+    need_h = (oh - 1) * stride + dilation * (kh - 1) + 1
+    need_w = (ow - 1) * stride + dilation * (kw - 1) + 1
+    pad_b = max(0, need_h - (h + pad))
+    pad_r = max(0, need_w - (w + pad))
+    return pad2d_const(x, pad, pad_b, pad, pad_r, pad_value), pad_b, pad_r
+
+
+def _window_view(xp: np.ndarray, kh: int, kw: int, stride: int,
+                 dilation: int, oh: int, ow: int) -> np.ndarray:
+    """Zero-copy (N, C, OH, OW, kh, kw) window view over a padded map."""
+    view = np.lib.stride_tricks.sliding_window_view(
+        xp, (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1), axis=(2, 3))
+    return view[:, :, :(oh - 1) * stride + 1:stride,
+                :(ow - 1) * stride + 1:stride, ::dilation, ::dilation]
+
+
+def _unfold(view: np.ndarray) -> np.ndarray:
+    """(N, C*kh*kw, OH*OW) columns of a window view: one C-order copy.
+
+    The explicit ``copy`` keeps a degenerate window (kernel covering the
+    whole map) from coming back as a view aliasing the input.
+    """
+    n, c, oh, ow, kh, kw = view.shape
+    cols = view.transpose(0, 1, 4, 5, 2, 3).copy()
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
            dilation: int = 1, pad_value: float = 0.0,
            out_hw: tuple[int, int] | None = None) -> tuple[np.ndarray, tuple]:
-    """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW)."""
+    """Unfold ``x`` (N, C, H, W) into columns (N, C*kh*kw, OH*OW).
+
+    For kh·kw > 1 the columns are one C-contiguous copy of a strided window
+    view.  A 1×1 kernel keeps the fancy-index gather, whose result is a
+    transposed view laid out (positions, batch, channels): the compiled
+    plan's k==1 buffer reproduces that layout stride for stride, and BLAS
+    rounding depends on operand strides.  An empty output (a map smaller
+    than the kernel) also takes the gather, which yields empty columns
+    where a window view cannot be built.
+    """
     n, c, h, w = x.shape
     if out_hw is None:
         oh = _conv_out_size(h, kh, stride, pad, dilation)
         ow = _conv_out_size(w, kw, stride, pad, dilation)
     else:
         oh, ow = out_hw
-    # Pad enough on the right/bottom for ceil-mode windows that overrun.
-    need_h = (oh - 1) * stride + dilation * (kh - 1) + 1
-    need_w = (ow - 1) * stride + dilation * (kw - 1) + 1
-    pad_b = max(0, need_h - (h + pad))
-    pad_r = max(0, need_w - (w + pad))
-    xp = pad2d_const(x, pad, pad_b, pad, pad_r, pad_value)
-    rows, cols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
-    patches = xp[:, :, rows, cols]              # (N, C, kh*kw, OH*OW)
-    cols_out = patches.reshape(n, c * kh * kw, oh * ow)
+    xp, pad_b, pad_r = _padded(x, kh, kw, stride, pad, dilation, oh, ow,
+                               pad_value)
     meta = (x.shape, kh, kw, stride, pad, dilation, oh, ow, pad_b, pad_r)
-    return cols_out, meta
+    if kh * kw > 1 and oh > 0 and ow > 0:
+        view = _window_view(xp, kh, kw, stride, dilation, oh, ow)
+        return _unfold(view), meta
+    rows, cols = _patch_indices(h, w, kh, kw, stride, dilation, oh, ow)
+    return xp[:, :, rows, cols].reshape(n, c * kh * kw, oh * ow), meta
 
 
 def col2im(cols: np.ndarray, meta: tuple) -> np.ndarray:
@@ -150,6 +192,33 @@ def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     return im2col(x, kh, kw, stride, pad, dilation)
 
 
+def _conv_cols_grouped(x: np.ndarray, groups: int, kh: int, kw: int,
+                       stride: int, pad: int,
+                       dilation: int) -> tuple[list[np.ndarray], tuple]:
+    """Per-group :func:`_conv_cols` of ``x``'s ``groups`` channel blocks.
+
+    For kh·kw > 1 every group's columns are copied out of *one* window view
+    of the whole map — bit-identical to unfolding each block on its own,
+    without a view per group (which dominates tiny depthwise calls).  The
+    shared meta describes one block, as ``col2im`` expects.
+    """
+    n, c, h, w = x.shape
+    cg = c // groups
+    oh = _conv_out_size(h, kh, stride, pad, dilation)
+    ow = _conv_out_size(w, kw, stride, pad, dilation)
+    if kh * kw == 1 or oh < 1 or ow < 1:       # im2col's gather cases
+        xg = x.reshape(n, groups, cg, h, w)
+        pairs = [_conv_cols(xg[:, g], kh, kw, stride, pad, dilation)
+                 for g in range(groups)]
+        return [cols for cols, _ in pairs], pairs[0][1]
+    xp, pad_b, pad_r = _padded(x, kh, kw, stride, pad, dilation, oh, ow, 0.0)
+    view = _window_view(xp, kh, kw, stride, dilation, oh, ow)
+    meta = ((n, cg, h, w), kh, kw, stride, pad, dilation, oh, ow, pad_b,
+            pad_r)
+    cols = [_unfold(view[:, g * cg:(g + 1) * cg]) for g in range(groups)]
+    return cols, meta
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, dilation: int = 1,
            groups: int = 1) -> Tensor:
@@ -170,19 +239,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         out = out.reshape(n, co, oh, ow)
         saved = (cols, meta, wmat)
     else:
-        xg = x.data.reshape(n, groups, c // groups, h, w)
         wg = weight.data.reshape(groups, co // groups, cig, kh, kw)
-        cols_list, metas = [], []
+        cols_list, meta = _conv_cols_grouped(x.data, groups, kh, kw, stride,
+                                             padding, dilation)
         outs = np.empty((n, groups, co // groups, oh * ow))
-        for g in range(groups):
-            cols, meta = _conv_cols(xg[:, g], kh, kw, stride, padding,
-                                    dilation)
-            cols_list.append(cols)
-            metas.append(meta)
+        for g, cols in enumerate(cols_list):
             outs[:, g] = np.einsum("of,nfp->nop", wg[g].reshape(co // groups, -1),
                                    cols, optimize=True)
         out = outs.reshape(n, co, oh, ow)
-        saved = (cols_list, metas, wg)
+        saved = (cols_list, meta, wg)
 
     if bias is not None:
         out = out + bias.data.reshape(1, co, 1, 1)
@@ -197,7 +262,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             gcols = np.einsum("of,nop->nfp", wmat, g2, optimize=True)
             gx = col2im(gcols, meta)
         else:
-            cols_list, metas, wg = saved
+            cols_list, meta, wg = saved
             gw = np.empty_like(weight.data.reshape(groups, co // groups, -1))
             gx = np.empty((n, groups, c // groups, h, w))
             gg = g2.reshape(n, groups, co // groups, oh * ow)
@@ -207,7 +272,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 gcols = np.einsum("of,nop->nfp",
                                   wg[gi].reshape(co // groups, -1), gg[:, gi],
                                   optimize=True)
-                gx[:, gi] = col2im(gcols, metas[gi])
+                gx[:, gi] = col2im(gcols, meta)
             gw = gw.reshape(weight.shape)
             gx = gx.reshape(n, c, h, w)
         return (gx, gw, gbias) if bias is not None else (gx, gw)
@@ -219,24 +284,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # ---------------------------------------------------------------------------
 # Pooling
 # ---------------------------------------------------------------------------
-
-def _pool_windows(x: np.ndarray, k: int, stride: int, padding: int,
-                  oh: int, ow: int, pad_value: float) -> np.ndarray:
-    """Strided (N, C, OH, OW, k, k) window view over the padded map.
-
-    The inference-path counterpart of the im2col gather: same window
-    contents in the same order, but a zero-copy ``sliding_window_view``
-    instead of a fancy-indexing copy.
-    """
-    n, c, h, w = x.shape
-    need_h = (oh - 1) * stride + k
-    need_w = (ow - 1) * stride + k
-    pad_b = max(0, need_h - (h + padding))
-    pad_r = max(0, need_w - (w + padding))
-    xp = pad2d_const(x, padding, pad_b, padding, pad_r, pad_value)
-    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return view[:, :, ::stride, ::stride][:, :, :oh, :ow]
-
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
                padding: int = 0, *, ceil_mode: bool = False) -> Tensor:
@@ -256,8 +303,9 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
         # Inference fast path: reduce over a strided window view — the max
         # of the same window contents, without materialising columns or an
         # argmax (only the backward needs one).
-        view = _pool_windows(x.data, kernel_size, stride, padding, oh, ow,
-                             -np.inf)
+        xp = _padded(x.data, kernel_size, kernel_size, stride, padding, 1,
+                     oh, ow, -np.inf)[0]
+        view = _window_view(xp, kernel_size, kernel_size, stride, 1, oh, ow)
         return Tensor(view.max(axis=(-2, -1)))
     cols, meta = im2col(x.data, kernel_size, kernel_size, stride, padding,
                         pad_value=-np.inf, out_hw=(oh, ow))

@@ -184,3 +184,182 @@ class TestSharedMode:
             SweepEngine(mode="shared", lease_ttl=0)
         with pytest.raises(ValueError, match="max_claims"):
             SweepEngine(mode="shared", max_claims=0)
+
+
+# ---------------------------------------------------------------------------
+# Shard-major claims over a real sharded classification row
+# ---------------------------------------------------------------------------
+
+def _cls_fixture(n, native_size, train):
+    from repro.core import get_task
+    adapter = get_task("cls")
+    ds = adapter.load_dataset(n=n, native_size=native_size, input_size=32,
+                              seed=1)
+    net = adapter.build_model("mcunet-293kb", num_classes=ds.num_classes,
+                              seed=0)
+    if train:
+        adapter.train(net, ds, model_name="mcunet-293kb", epochs=2)
+    net.eval()
+    return adapter, net, ds
+
+
+@pytest.fixture(scope="module")
+def cls_row():
+    """A trained mcunet and a 32-image set: 4 shards of 8 at batch 8."""
+    return _cls_fixture(32, 40, train=True)
+
+
+def _cls_engine(ledger):
+    from repro.core import DecodeCache
+    return SweepEngine(mode="shared", ledger=ledger, model_key="m",
+                       lease_ttl=30.0, shard_size=8, task="cls",
+                       batch_size=8, pipeline_cache=DecodeCache())
+
+
+def _cls_eval(adapter):
+    from repro.core import DecodeCache
+    return lambda m, d, cfg: adapter.evaluate(m, d, cfg, cache=DecodeCache(),
+                                              batch_size=8)
+
+
+class TestShardMajor:
+    def test_two_engines_render_serial_table_decoding_each_shard_once(
+            self, tmp_path, cls_row, monkeypatch):
+        import copy
+
+        import repro.core.pipeline as pipeline
+        from repro.core.registry import combined_config, get_noise
+        from repro.core.report import render_table
+        adapter, net, ds = cls_row
+        noises = adapter.noises
+        ev = _cls_eval(adapter)
+        serial = SweepEngine().noise_row(ev, net, ds, noises)
+
+        run = tmp_path / "run"
+        a = _cls_engine(RunLedger.create(run, {"model": "m"}))
+        b = _cls_engine(RunLedger(run))
+        # Equal contents (the same ledger identity) but distinct stream
+        # objects, so a decode's first stream names the engine and shard.
+        ds_b = copy.deepcopy(ds)
+        where = {id(s): (who, i) for who, d in (("a", ds), ("b", ds_b))
+                 for i, s in enumerate(d.streams)}
+        a.baseline(ev, net, ds)
+        b.baseline(ev, net, ds_b)              # replayed from the ledger
+
+        decodes: dict[tuple, int] = {}
+        lock = threading.Lock()
+        real = pipeline._decode_uncached
+
+        def spy(streams, decoder):
+            who, start = where[id(streams[0])]
+            with lock:
+                key = (who, start, len(streams), decoder)
+                decodes[key] = decodes.get(key, 0) + 1
+            return real(streams, decoder)
+
+        monkeypatch.setattr(pipeline, "_decode_uncached", spy)
+        rows = [None, None]
+
+        def work(i, engine, data):
+            rows[i] = engine.noise_row(ev, net, data, noises)
+
+        threads = [threading.Thread(target=work, args=job)
+                   for job in ((0, a, ds), (1, b, ds_b))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+        monkeypatch.undo()
+
+        want = render_table({"m": serial}, noises, "ACC", "row")
+        for row in rows:
+            assert render_table({"m": row}, noises, "ACC", "row") == want
+            assert row["trained"] == serial["trained"]
+            assert row["combined"] == serial["combined"]
+            for name in noises:
+                assert (row["noises"][name].values
+                        == serial["noises"][name].values)
+        assert max(decodes.values()) == 1      # once per engine
+        # Not vacuous: every (shard, decoder) the row needs was decoded
+        # through the spied path, whole shards at a time.
+        cfgs = [combined_config(noises)] + [
+            get_noise(n).apply(TRAIN_CONFIG, v)
+            for n in noises for v in get_noise(n).variants()]
+        need = {(start, 8, c.decoder) for start in (0, 8, 16, 24)
+                for c in cfgs}
+        assert len({c.decoder for c in cfgs}) > 1
+        assert {k[1:] for k in decodes if k[2] == 8} == need
+        # The only other decode is each engine's int8 calibration slice.
+        assert {k[1:] for k in decodes if k[2] != 8} == {(0, 32, "dali")}
+
+    def test_won_claim_rechecks_a_refreshed_ledger(self, tmp_path, cls_row,
+                                                   monkeypatch):
+        """A peer ledgers shard [0, 8) after B's last refresh; B then wins
+        the claim on it and must not recompute it."""
+        adapter, net, ds = cls_row
+        cfg = NoiseConfig(decoder="pil")
+        expected = SweepEngine().evaluate(_cls_eval(adapter), net, ds, cfg)
+        run = tmp_path / "run"
+        peer = RunLedger.create(run, {"model": "m"})
+        b = _cls_engine(RunLedger(run))
+        lkey = b._ledger_key(net, ds, cfg)
+        (_, _, first), = adapter.evaluate_partials(net, ds, cfg, [(0, 8)],
+                                                   batch_size=8)
+        wq = b._shared_queue()
+        claim = wq.try_claim
+
+        def claim_after_peer(item):
+            lease = claim(item)
+            if lease is not None and item.endswith("-0-8"):
+                peer.record_shard(*lkey, start=0, stop=8,
+                                  state=first.state(), label="peer")
+            return lease
+
+        wq.try_claim = claim_after_peer
+        executed = []
+        real = type(adapter).evaluate_partials
+
+        def spy(self, model, ds, cfg, bounds, **kw):
+            executed.extend(bounds)
+            return real(self, model, ds, cfg, bounds, **kw)
+
+        monkeypatch.setattr(type(adapter), "evaluate_partials", spy)
+        value = b.evaluate(_cls_eval(adapter), net, ds, cfg)
+        assert value == expected
+        assert (0, 8) not in executed
+        assert executed == [(8, 16), (16, 24), (24, 32)]
+        shards = [e["shard"] for e in RunLedger(run).entries()
+                  if e.get("kind") == "shard"]
+        assert sorted(shards) == [[0, 8], [8, 16], [16, 24], [24, 32]]
+
+    def test_shared_streamed_row_peak_memory_is_shardbound(self, tmp_path):
+        """A shared worker's streamed row stays under the decoded-dataset
+        bytes, the serial gate's bound: each shard pass's decode scratch
+        dies with the pass (a session-wide chunk cache would keep every
+        decoded shard and cross it)."""
+        import tracemalloc
+
+        from repro.core import DecodeCache
+        adapter, net, ds = _cls_fixture(64, 64, train=False)
+        ev = _cls_eval(adapter)
+
+        def row(engine):
+            return engine.noise_row(ev, net, ds, ["decoder"],
+                                    include_combined=False)
+
+        # The serial streamed row first: it pays the one-time allocations
+        # (operator and index caches) outside the traced window.
+        serial = row(SweepEngine(shard_size=8, task="cls", batch_size=8,
+                                 pipeline_cache=DecodeCache()))
+        shared = _cls_engine(RunLedger.create(tmp_path / "run",
+                                              {"model": "m"}))
+        decoded_bytes = len(ds) * 64 * 64 * 3 * 8     # float64 pixel batch
+        tracemalloc.start()
+        got = row(shared)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got["trained"] == serial["trained"]
+        assert (got["noises"]["decoder"].values
+                == serial["noises"]["decoder"].values)
+        assert peak < decoded_bytes

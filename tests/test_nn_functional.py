@@ -104,6 +104,142 @@ class TestConv2d:
         np.testing.assert_allclose(xt.grad, num, atol=1e-5)
 
 
+def _gather_im2col(x, kh, kw, stride, pad, dilation=1, pad_value=0.0,
+                   out_hw=None):
+    """Reference unfold: the fancy-index gather im2col was built on."""
+    n, c, h, w = x.shape
+    if out_hw is None:
+        oh = (h + 2 * pad - dilation * (kh - 1) - 1) // stride + 1
+        ow = (w + 2 * pad - dilation * (kw - 1) - 1) // stride + 1
+    else:
+        oh, ow = out_hw
+    pad_b = max(0, (oh - 1) * stride + dilation * (kh - 1) + 1 - (h + pad))
+    pad_r = max(0, (ow - 1) * stride + dilation * (kw - 1) + 1 - (w + pad))
+    xp = x
+    if pad or pad_b or pad_r:
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad_b), (pad, pad_r)),
+                    constant_values=pad_value)
+    rows = (np.repeat(np.arange(kh) * dilation, kw)[:, None]
+            + stride * np.repeat(np.arange(oh), ow)[None, :])
+    cols = (np.tile(np.arange(kw) * dilation, kh)[:, None]
+            + stride * np.tile(np.arange(ow), oh)[None, :])
+    return xp[:, :, rows, cols].reshape(n, c * kh * kw, oh * ow)
+
+
+def _assert_same_array(got, want, layout=True):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    if layout:
+        assert got.strides == want.strides
+
+
+class TestIm2col:
+    """The strided-window im2col is the gather, value and layout."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_matches_gather_over_geometry_grid(self, k, dtype):
+        x = np.random.default_rng(k).standard_normal((2, 3, 15, 17))
+        x = x.astype(dtype)
+        for stride in (1, 2, 3):
+            for pad in (0, 1, 3):
+                for dilation in (1, 2):
+                    for pad_value in (0.0, -np.inf):
+                        got, meta = F.im2col(x, k, k, stride, pad, dilation,
+                                             pad_value)
+                        want = _gather_im2col(x, k, k, stride, pad,
+                                              dilation, pad_value)
+                        _assert_same_array(got, want)
+                        assert meta[6] * meta[7] == want.shape[2]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ceil_mode_overrun_windows(self, k):
+        x = np.random.default_rng(0).standard_normal((2, 3, 15, 16))
+        overrun = False
+        for stride in (2, 3):
+            for pad in (0, 1):
+                out_hw = (F.pool_output_size(15, k, stride, pad, True),
+                          F.pool_output_size(16, k, stride, pad, True))
+                got, meta = F.im2col(x, k, k, stride, pad,
+                                     pad_value=-np.inf, out_hw=out_hw)
+                want = _gather_im2col(x, k, k, stride, pad,
+                                      pad_value=-np.inf, out_hw=out_hw)
+                _assert_same_array(got, want)
+                assert meta[6:8] == out_hw
+                overrun |= meta[8] > 0 or meta[9] > 0
+        assert overrun
+
+    def test_columns_never_alias_the_input(self):
+        # A kernel covering the whole map could come back as a view.
+        x = np.random.default_rng(0).standard_normal((2, 3, 3, 3))
+        got, _ = F.im2col(x, 3, 3, 1, 0)
+        assert not np.shares_memory(got, x)
+        _assert_same_array(got, _gather_im2col(x, 3, 3, 1, 0))
+
+    def test_map_smaller_than_kernel_gives_empty_columns(self):
+        x = np.random.default_rng(0).standard_normal((2, 3, 2, 2))
+        got, meta = F.im2col(x, 3, 3, 1, 0)
+        _assert_same_array(got, _gather_im2col(x, 3, 3, 1, 0))
+        assert got.shape == (2, 27, 0) and meta[6] == 0
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (5, 2, 2),
+                                              (1, 1, 0), (1, 2, 0)])
+    @pytest.mark.parametrize("groups", [2, 4])
+    def test_grouped_columns_match_per_group_gather(self, k, stride, pad,
+                                                    groups):
+        x = np.random.default_rng(1).standard_normal((2, 8, 11, 9))
+        cols, meta = F._conv_cols_grouped(x, groups, k, k, stride, pad, 1)
+        xg = x.reshape(2, groups, 8 // groups, 11, 9)
+        assert len(cols) == groups
+        for g in range(groups):
+            want, want_meta = F._conv_cols(xg[:, g], k, k, stride, pad, 1)
+            if k > 1:
+                _assert_same_array(
+                    want, _gather_im2col(xg[:, g], k, k, stride, pad))
+            _assert_same_array(cols[g], want)
+            assert meta == want_meta
+
+    def test_single_channel_layout_feeds_identical_products(self):
+        """On a single-channel map with several images NumPy's gather
+        puts the batch axis innermost; the window copy is C-order.  Every
+        consumer contracts through a copying GEMM, so the products —
+        depthwise conv forward, weight gradient, backend batched matmul —
+        are the same bits either way."""
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4, 1, 9, 9))
+        got, _ = F.im2col(x, 3, 3, 1, 1)
+        want = _gather_im2col(x, 3, 3, 1, 1)
+        _assert_same_array(got, want, layout=False)
+        assert got.flags.c_contiguous
+        w = rng.standard_normal((2, 9))
+        g = rng.standard_normal((4, 2, 81))
+        for spec, a in (("of,nfp->nop", w), ("nop,nfp->of", g)):
+            np.testing.assert_array_equal(
+                np.einsum(spec, a, got, optimize=True),
+                np.einsum(spec, a, want, optimize=True))
+        np.testing.assert_array_equal(w @ got, w @ want)
+
+    def test_depthwise_conv_matches_per_group_gather(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 4, 10, 10))
+        w = rng.standard_normal((4, 1, 3, 3))
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        out = F.conv2d(xt, wt, padding=1, groups=4)
+        want = np.empty((3, 4, 100))
+        for g in range(4):
+            cols = _gather_im2col(x[:, g:g + 1], 3, 3, 1, 1)
+            want[:, g] = np.einsum("of,nfp->nop", w[g].reshape(1, -1), cols,
+                                   optimize=True)[:, 0]
+        np.testing.assert_array_equal(out.data, want.reshape(3, 4, 10, 10))
+        out.sum().backward()
+        gw = np.stack([np.einsum("nop,nfp->of", np.ones((3, 1, 100)),
+                                 _gather_im2col(x[:, g:g + 1], 3, 3, 1, 1),
+                                 optimize=True) for g in range(4)])
+        np.testing.assert_array_equal(wt.grad, gw.reshape(w.shape))
+
+
 class TestPooling:
     def test_pool_output_size_floor_vs_ceil(self):
         # Paper Eq. 8: 6-wide map, k=3, s=2, p=0 -> floor 2, ceil 3
