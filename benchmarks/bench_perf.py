@@ -53,9 +53,11 @@ memory
     peak exceeds it, and both paths must produce identical metrics.
 
 Results are appended to ``BENCH_core.json`` at the repo root so the perf
-trajectory is tracked PR over PR.  ``--smoke`` shrinks the workload and
-exits non-zero if the vectorized coder fails to beat the scalar one —
-the CI perf gate.
+trajectory is tracked PR over PR.  The harness pins OpenBLAS to one thread
+first, as every CLI process does; each record carries the affinity-aware
+``cores`` and the ``blas_threads`` width read back from OpenBLAS.
+``--smoke`` shrinks the workload and exits non-zero if the vectorized
+coder fails to beat the scalar one — the CI perf gate.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.backend.parallel import (available_cores, blas_threads,  # noqa: E402
+                                    pin_blas_threads)
 from repro.core import TRAIN_CONFIG, EvalCache, SweepEngine, get_task  # noqa: E402
 from repro.core.cache import DecodeCache  # noqa: E402
 from repro.core.pipeline import apply_model_noise, normalize, preprocess  # noqa: E402
@@ -238,11 +242,11 @@ def bench_intra_op(models: list[str], batch: int, repeats: int) -> dict:
     """
     from repro.backend import ReferenceExecutor, export_module, parallel
 
-    threads = max(2, parallel._available_cores())
-    gateable = parallel._available_cores() > 1
+    threads = max(2, parallel.available_cores())
+    gateable = parallel.available_cores() > 1
     rng = np.random.default_rng(0)
     out: dict = {"batch": batch, "threads": threads,
-                 "cores_available": parallel._available_cores(),
+                 "cores_available": parallel.available_cores(),
                  "speed_gated": gateable, "models": {}}
     previous = os.environ.get("REPRO_NUM_THREADS")
 
@@ -459,7 +463,6 @@ def bench_sweep(n_images: int, workers: int, repeats: int) -> dict:
         lambda: rows.__setitem__("new", _engine_row(model, ds, workers)),
         repeats)
     identical = rows["seed"] == rows["new"]
-    from repro.core.sweep import available_cores
     return {
         "images": n_images,
         "noises": SWEEP_NOISES,
@@ -481,6 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_core.json"))
     args = parser.parse_args(argv)
+    pin_blas_threads()                      # as every CLI process does
 
     if args.smoke:
         sizes, repeats, n_decode, n_sweep = [64, 128], 2, 16, 24
@@ -559,6 +563,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "mode": "smoke" if args.smoke else "full",
+        "cores": available_cores(),
+        "blas_threads": blas_threads(),
         "entropy_codec": entropy,
         "dataset_decode": dataset,
         "inference": inference,

@@ -43,8 +43,10 @@ drain (gate)
     ``repro resume`` must be able to finish it afterwards.
 
 Results are appended to ``BENCH_serve.json`` at the repo root so the
-serving-layer trajectory is tracked PR over PR.  Any gate failure exits
-non-zero — this is the CI ``serve-smoke`` job.
+serving-layer trajectory is tracked PR over PR.  Each record carries the
+affinity-aware ``cores`` and the ``blas_threads`` width read back from
+OpenBLAS after the harness pins it, as ``repro serve`` pins its own.  Any
+gate failure exits non-zero — this is the CI ``serve-smoke`` job.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.backend.parallel import (available_cores, blas_threads,  # noqa: E402
+                                    pin_blas_threads)
 
 TIMEOUT_S = 600
 
@@ -516,13 +521,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI-sized workload; gates still apply")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_serve.json"))
     args = parser.parse_args(argv)
+    pin_blas_threads()                      # as every CLI process does
 
     import tempfile
     tmp = Path(tempfile.mkdtemp(prefix="bench-serve-"))
     print(f"workdir: {tmp}")
 
     record = {"timestamp": datetime.now(timezone.utc).isoformat(),
-              "mode": "smoke" if args.smoke else "full"}
+              "mode": "smoke" if args.smoke else "full",
+              "cores": available_cores(), "blas_threads": blas_threads()}
 
     server = Server(tmp / "main")
     try:

@@ -19,44 +19,44 @@ Quick use::
     ref   = accuracy_under_backend(graph, x, y, "reference")
     fp16  = accuracy_under_backend(graph, x, y, "gpu-fp16")
     print(diff_report(backend_diff(graph, x, "reference", "dsp")))
+
+The public names below load their submodule on first access (PEP 562),
+so ``import repro.backend.parallel`` (the BLAS pin and core probe every
+CLI process and sweep module needs) does not import the graph stack.
 """
 
-from .compare import (LayerDiff, accuracy_under_backend, backend_diff,
-                      diff_report, first_divergence, predict)
-from .executor import (BACKEND_PRESETS, BackendOptions, DeploymentExecutor,
-                       Executor, ReferenceExecutor, create_backend)
-from .export import (ExportError, export_classifier, export_module,
-                     register_handler, supported_module_types)
-from .ir import Graph, GraphBuilder, GraphError, Node, OP_SCHEMA
-from .passes import (DEFAULT_PASSES, PLAN_PASSES, dead_code_elimination,
-                     eliminate_identity, fold_constants, fold_movement,
-                     fuse_conv_bn, fuse_conv_bn_relu, fuse_conv_relu,
-                     fuse_elementwise, optimize)
-from .plan import ExecutionPlan, compile_cached, compile_plan
-from .profile import GraphProfile, OpProfile, profile_graph, render_profile
-from .quantize import calibrate_ranges, lower_integer, quantize_graph
-from .serialize import (GRAPH_FORMAT_VERSION, PLAN_FORMAT_VERSION,
-                        PlanFormatError, load_graph, load_plan, plan_info,
-                        save_graph, save_plan)
-from .shapes import ShapeError, infer_shapes, summary_with_shapes
+import importlib
 
-__all__ = [
-    "Graph", "GraphBuilder", "GraphError", "Node", "OP_SCHEMA",
-    "ExportError", "export_module", "export_classifier", "register_handler",
-    "supported_module_types",
-    "Executor", "ReferenceExecutor", "DeploymentExecutor", "BackendOptions",
-    "BACKEND_PRESETS", "create_backend",
-    "eliminate_identity", "fuse_conv_bn", "fuse_conv_relu",
-    "fuse_conv_bn_relu", "fuse_elementwise", "fold_movement",
-    "dead_code_elimination", "fold_constants", "optimize", "DEFAULT_PASSES",
-    "PLAN_PASSES",
-    "ExecutionPlan", "compile_plan", "compile_cached",
-    "LayerDiff", "backend_diff", "first_divergence", "diff_report",
-    "accuracy_under_backend", "predict",
-    "save_graph", "load_graph", "GRAPH_FORMAT_VERSION",
-    "save_plan", "load_plan", "plan_info", "PLAN_FORMAT_VERSION",
-    "PlanFormatError",
-    "infer_shapes", "summary_with_shapes", "ShapeError",
-    "OpProfile", "GraphProfile", "profile_graph", "render_profile",
-    "quantize_graph", "calibrate_ranges", "lower_integer",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {name: module for module, names in {
+    "compare": ("LayerDiff", "accuracy_under_backend", "backend_diff",
+                "diff_report", "first_divergence", "predict"),
+    "executor": ("BACKEND_PRESETS", "BackendOptions", "DeploymentExecutor",
+                 "Executor", "ReferenceExecutor", "create_backend"),
+    "export": ("ExportError", "export_classifier", "export_module",
+               "register_handler", "supported_module_types"),
+    "ir": ("Graph", "GraphBuilder", "GraphError", "Node", "OP_SCHEMA"),
+    "passes": ("DEFAULT_PASSES", "PLAN_PASSES", "dead_code_elimination",
+               "eliminate_identity", "fold_constants", "fold_movement",
+               "fuse_conv_bn", "fuse_conv_bn_relu", "fuse_conv_relu",
+               "fuse_elementwise", "optimize"),
+    "plan": ("ExecutionPlan", "compile_cached", "compile_plan"),
+    "profile": ("GraphProfile", "OpProfile", "profile_graph",
+                "render_profile"),
+    "quantize": ("calibrate_ranges", "lower_integer", "quantize_graph"),
+    "serialize": ("GRAPH_FORMAT_VERSION", "PLAN_FORMAT_VERSION",
+                  "PlanFormatError", "load_graph", "load_plan", "plan_info",
+                  "save_graph", "save_plan"),
+    "shapes": ("ShapeError", "infer_shapes", "summary_with_shapes"),
+}.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,21 +13,30 @@ contract threaded results are bit-identical to serial at every thread
 count, which is what lets threading default-on without perturbing any of
 the repo's bit-exactness gates (see docs/performance.md).
 
-Pool width comes from ``REPRO_NUM_THREADS`` when set, else from the cores
-actually available to the process (affinity/cgroup aware — the same probe
-as :func:`repro.core.sweep.available_cores`).  On a 1-core host every
-``parallel_map`` degrades to a plain loop with no pool, no locks and no
-overhead.  Nested calls (a tile that itself reaches ``parallel_map``) run
-serially in the worker thread, so the pool cannot deadlock on itself.
+Pool width comes from ``REPRO_NUM_THREADS`` when set, else from
+:func:`available_cores` (affinity/cgroup aware; the one core-count probe
+in the package).  On a 1-core host every ``parallel_map`` degrades to a
+plain loop with no pool, no locks and no overhead.  Nested calls (a tile
+that itself reaches ``parallel_map``) run serially in the worker thread,
+so the pool cannot deadlock on itself.
+
+**Thread budget.**  The system's own schedulers (fleet workers, sweep
+threads, serve job threads, intra-op tiles) are the only source of
+parallelism, so every GEMM runs single-threaded inside its caller's
+thread.  :func:`pin_blas_threads` sets the loaded OpenBLAS to one thread;
+``repro.cli.main`` and process-pool workers call it before any work.
+Importing this module changes no process state.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["num_threads", "parallel_map", "collect_stats", "TILE_MIN_WORK"]
+__all__ = ["num_threads", "parallel_map", "collect_stats", "TILE_MIN_WORK",
+           "available_cores", "pin_blas_threads", "blas_threads"]
 
 #: Minimum estimated FLOPs before a kernel bothers with the pool; below
 #: this, submit/collect overhead beats any overlap.
@@ -40,11 +49,11 @@ _tls = threading.local()
 _stats_sink: list | None = None
 
 
-def _available_cores() -> int:
-    """Cores available to this process (affinity/cgroup aware).
+def available_cores() -> int:
+    """CPU cores actually available to *this process*.
 
-    Duplicates :func:`repro.core.sweep.available_cores` so the backend
-    keeps no dependency on ``repro.core``.
+    ``os.process_cpu_count()`` (3.13+) and the scheduler affinity mask both
+    see container/cgroup CPU limits that plain ``os.cpu_count()`` ignores.
     """
     count = getattr(os, "process_cpu_count", None)
     if count is not None:
@@ -69,7 +78,75 @@ def num_threads() -> int:
             n = 0
         if n >= 1:
             return n
-    return _available_cores()
+    return available_cores()
+
+
+#: (set, get) symbol pairs: NumPy 2 wheels' scipy-openblas, then distro
+#: builds.  The first pair a mapped library exports is the one used.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _read_maps() -> str:
+    """This process's memory map ("" where there is no ``/proc``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+def _openblas() -> list[tuple]:
+    """``(set_num_threads, get_num_threads)`` for every mapped OpenBLAS."""
+    paths = set()
+    for line in _read_maps().splitlines():
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in \
+                os.path.basename(fields[5]).lower():
+            paths.add(fields[5])
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (AttributeError, OSError):
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = lib[set_name], lib[get_name]
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+                break
+    return found
+
+
+def blas_threads() -> int | None:
+    """The thread width the loaded OpenBLAS reports, or ``None`` if no
+    OpenBLAS is mapped into this process."""
+    widths = [get() for _, get in _openblas()]
+    return max(widths) if widths else None
+
+
+def pin_blas_threads() -> int | None:
+    """Pin the loaded OpenBLAS to one thread; returns the width read back.
+
+    An ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` the operator set is
+    honoured as-is (the width is only read back).  Returns ``None`` and
+    changes nothing where no OpenBLAS is loaded.  Imports NumPy first, so
+    the library is mapped before it is looked for.
+    """
+    import numpy  # noqa: F401 — maps OpenBLAS into the process
+
+    libs = _openblas()
+    if not libs:
+        return None
+    if not (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS")):
+        for setter, _ in libs:
+            setter(1)
+    return max(get() for _, get in libs)
 
 
 def _get_pool(width: int) -> ThreadPoolExecutor:

@@ -63,6 +63,10 @@ sweep mitigation rows alongside the clean row (see ``docs/mitigations.md``).
 
 Every command accepts ``--help``.  Exit status is 0 on success, 2 on bad
 arguments (argparse convention).
+
+Every command pins OpenBLAS to one thread before it does any work (see
+:func:`repro.backend.parallel.pin_blas_threads`): the workers, sweep
+threads and serve job threads are the only parallelism.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code instead of raising SystemExit."""
     args = build_parser().parse_args(argv)
+    from ..backend.parallel import pin_blas_threads
+    pin_blas_threads()
     return args.func(args)
 
 

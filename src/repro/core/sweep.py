@@ -70,6 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend.parallel import available_cores, pin_blas_threads
 from .cache import (DecodeCache, EvalCache, dataset_token, eval_key,
                     streams_digest)
 from .faults import fault_point
@@ -100,24 +101,6 @@ def _err_str(exc: BaseException | None) -> str:
         return "unknown failure"
     text = str(exc)
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
-
-
-def available_cores() -> int:
-    """CPU cores actually available to *this process*.
-
-    ``os.process_cpu_count()`` (3.13+) and the scheduler affinity mask both
-    see container/cgroup CPU limits that plain ``os.cpu_count()`` ignores —
-    the seed cap happily built a 4-thread pool on a 1-core container.
-    """
-    count = getattr(os, "process_cpu_count", None)
-    if count is not None:
-        n = count()
-    else:
-        try:
-            n = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            n = os.cpu_count()
-    return n or 1
 
 
 @dataclass
@@ -1298,11 +1281,14 @@ def _share_decoded_dataset(ds):
 
 
 def _process_worker_init(payload: bytes, shm_meta, shard_ctx=None) -> None:
-    # Inter-op × intra-op widths multiply: a pool of N sweep workers each
-    # spinning available_cores() backend threads oversubscribes the host
-    # N-fold.  Workers default to serial kernels; an explicit
-    # REPRO_NUM_THREADS set by the operator is honoured as-is.
+    # Inter-op × intra-op × BLAS widths multiply: a pool of N sweep
+    # workers, each tiling over available_cores() backend threads whose
+    # GEMMs each fan out over OpenBLAS's own threads, oversubscribes the
+    # host many times over.  Workers default to serial kernels and a
+    # one-thread BLAS; an explicit REPRO_NUM_THREADS, OPENBLAS_NUM_THREADS
+    # or OMP_NUM_THREADS set by the operator is honoured as-is.
     os.environ.setdefault("REPRO_NUM_THREADS", "1")
+    pin_blas_threads()
     evaluate, model, ds = pickle.loads(payload)
     _WORKER.update(evaluate=evaluate, model=model, ds=ds,
                    shard_ctx=shard_ctx)

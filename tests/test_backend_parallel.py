@@ -6,22 +6,32 @@ bit-identical to serial at *every* thread count, because tiles are the
 exact computations the serial path performs and results are combined in
 submission order.  These tests pin the contract across the zoo, the
 ``parallel_map`` semantics it rests on, the bounded ``prepare_cached``
-executor cache, and the ``profile --compiled`` intra-op report.
+executor cache, the ``profile --compiled`` intra-op report, and the
+one-thread OpenBLAS pin every CLI process and pool worker applies.
 """
 
 import gc
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.backend import (BACKEND_PRESETS, DeploymentExecutor, GraphBuilder,
                            ReferenceExecutor, export_module, parallel,
                            profile_graph, render_profile)
 from repro.backend.executor import (clear_prepared_cache, prepare_cached,
                                     prepared_cache_stats)
+from repro.core import sweep as sweep_mod
 from repro.models import create_model
 
 RNG = np.random.default_rng(11)
+SRC = Path(repro.__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def graph_for(name: str):
@@ -120,9 +130,96 @@ class TestParallelMap:
         monkeypatch.setenv("REPRO_NUM_THREADS", "5")
         assert parallel.num_threads() == 5
         monkeypatch.setenv("REPRO_NUM_THREADS", "bogus")
-        assert parallel.num_threads() == parallel._available_cores()
+        assert parallel.num_threads() == parallel.available_cores()
         monkeypatch.delenv("REPRO_NUM_THREADS")
-        assert parallel.num_threads() == parallel._available_cores()
+        assert parallel.num_threads() == parallel.available_cores()
+
+
+# ---------------------------------------------------------------------------
+# The OpenBLAS thread pin
+# ---------------------------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    parallel.blas_threads() is None,
+    reason="no OpenBLAS is mapped into this process; the pin is a no-op")
+
+
+def child_env(**extra) -> dict:
+    """This process's environment minus the BLAS width variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def blas_width_after(code: str, **env) -> int:
+    """Run ``code`` in a fresh interpreter; the BLAS width it ends at."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nfrom repro.backend.parallel import blas_threads\n"
+         "print(blas_threads())\n"],
+        env=child_env(**env), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.fixture
+def blas_at_two(monkeypatch):
+    """Unset the BLAS env widths and start at width 2, so a pin shows;
+    put this process's width back after."""
+    for var in BLAS_ENV:
+        monkeypatch.delenv(var, raising=False)
+    libs = parallel._openblas()
+    before = [get() for _, get in libs]
+    for setter, _ in libs:
+        setter(2)
+    yield
+    for (setter, _), width in zip(libs, before):
+        setter(width)
+
+
+@needs_openblas
+class TestBlasPin:
+    def test_pin_reads_back_one_and_is_idempotent(self, blas_at_two):
+        assert parallel.pin_blas_threads() == 1
+        assert parallel.blas_threads() == 1
+        assert parallel.pin_blas_threads() == 1
+        assert parallel.blas_threads() == 1
+
+    def test_cli_main_pins(self):
+        code = "import repro.cli\nrepro.cli.main(['tasks'])"
+        assert blas_width_after(code) == 1
+
+    def test_import_changes_nothing(self):
+        """Importing the package (CLI included) leaves OpenBLAS's default."""
+        assert blas_width_after("import numpy, repro, repro.cli") == \
+            blas_width_after("import numpy")
+
+    @pytest.mark.skipif(parallel.available_cores() < 2,
+                        reason="1 core: OpenBLAS caps any width at 1, so "
+                               "an explicit width of 2 cannot be told apart")
+    def test_explicit_env_width_is_honoured(self):
+        code = "import repro.cli\nrepro.cli.main(['tasks'])"
+        assert blas_width_after(code, OPENBLAS_NUM_THREADS="2") == 2
+
+    def test_process_worker_init_pins(self, blas_at_two, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_WORKER", {})
+        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
+        sweep_mod._process_worker_init(pickle.dumps((None, None, None)),
+                                       None)
+        assert parallel.blas_threads() == 1
+        assert os.environ["REPRO_NUM_THREADS"] == "1"
+
+    def test_no_openblas_is_a_noop(self, blas_at_two, monkeypatch):
+        before = parallel.blas_threads()
+        monkeypatch.setattr(parallel, "_read_maps", lambda: (
+            "7f00-7f10 r-xp 00000000 08:01 42 /usr/lib/libc.so.6\n"
+            "7f20-7f30 rw-p 00000000 00:00 0\n"))
+        assert parallel.pin_blas_threads() is None
+        assert parallel.blas_threads() is None
+        monkeypatch.undo()
+        assert parallel.blas_threads() == before
 
 
 # ---------------------------------------------------------------------------

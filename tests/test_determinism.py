@@ -2,12 +2,22 @@
 
 The paper fixes library versions and verifies repeated evaluations differ by
 < 0.0001%.  Our substrate is fully deterministic, so we can assert exact
-bit-reproducibility across every pipeline stage.
+bit-reproducibility across every pipeline stage — and across the OpenBLAS
+thread width, a system setting that must not be a noise source.
 """
 
-import numpy as np
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import repro
 import repro.nn as nn
+from repro.backend.parallel import available_cores, blas_threads
 from repro.core import TRAIN_CONFIG, preprocess_dataset, train_classification_model
 from repro.data import make_classification_dataset, make_nlp_suite
 from repro.image import color_roundtrip, decode_with, encode, resize
@@ -76,3 +86,58 @@ class TestTrainingDeterminism:
             np.testing.assert_array_equal(t1[name].answers, t2[name].answers)
             for a, b in zip(t1[name].prefixes, t2[name].prefixes):
                 np.testing.assert_array_equal(a, b)
+
+
+#: Hashes every zoo model's no-grad forward at batch 1, 8 and 64, then the
+#: weights after a 2-epoch resnet18x0.25 run; prints the BLAS width it ran at.
+_BLAS_CHILD = """
+import hashlib, json
+import numpy as np
+from repro.backend.parallel import blas_threads, pin_blas_threads
+from repro.models import create_model, model_names
+from repro.nn import Tensor, TrainConfig, no_grad, train_classifier
+
+pin_blas_threads()
+rng = np.random.default_rng(0)
+x = rng.normal(size=(64, 3, 32, 32))
+y = rng.integers(0, 10, size=64)
+digest = hashlib.sha256()
+for name in model_names():
+    model = create_model(name, num_classes=10, seed=0)
+    model.eval()
+    with no_grad():
+        for batch in (1, 8, 64):
+            digest.update(model(Tensor(x[:batch])).data.tobytes())
+model = train_classifier(create_model("resnet18x0.25", num_classes=10),
+                         x, y, TrainConfig(epochs=2, batch_size=16))
+for key, value in sorted(model.state_dict().items()):
+    digest.update(key.encode() + np.ascontiguousarray(value).tobytes())
+print(json.dumps({"blas_threads": blas_threads(),
+                  "digest": digest.hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(blas_threads() is None,
+                    reason="no OpenBLAS is mapped; its width cannot vary")
+@pytest.mark.skipif(available_cores() < 2,
+                    reason="1 core: OpenBLAS caps any width at 1")
+def test_blas_width_is_not_a_noise_source():
+    """The same bits at one BLAS thread (the pin) and at two."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, base.get("PYTHONPATH")]))
+    children = {width: subprocess.Popen(
+        [sys.executable, "-c", _BLAS_CHILD], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for width, env in ((1, base),
+                           (2, {**base, "OPENBLAS_NUM_THREADS": "2"}))}
+    reports = {}
+    for width, proc in children.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        reports[width] = json.loads(out.splitlines()[-1])
+    assert reports[1]["blas_threads"] == 1
+    assert reports[2]["blas_threads"] == 2
+    assert reports[1]["digest"] == reports[2]["digest"]
