@@ -15,7 +15,10 @@ entropy codec
 
 dataset decode
     ``decode_dataset``-shaped batch decode throughput on dataset-scale
-    48 px streams, vector vs scalar.
+    48 px streams, vector vs scalar.  One row times the four decoder
+    personas over one 64-image shard, with the Huffman stage decoded once
+    and shared through a ``DecodeCache`` (as a fleet's shard pass does) and
+    without; it is gated on identical bytes and a >=2x speedup.
 
 sweep
     Wall time of one full classification ``noise_row`` (decoder / resize /
@@ -155,6 +158,39 @@ def bench_dataset_decode(n_images: int, repeats: int) -> dict:
         "scalar_ips": round(n_images / t_s, 1),
         "vector_ips": round(n_images / t_v, 1),
         "speedup": round(t_s / t_v, 2),
+        "four_personas": bench_shared_huffman(64, repeats),
+    }
+
+
+def bench_shared_huffman(shard: int, repeats: int) -> dict:
+    """Four personas over one shard: Huffman stage shared vs per persona.
+
+    The shared side decodes through one fresh ``DecodeCache`` per repeat,
+    so each timing includes the one Huffman decode the personas share.
+    """
+    from repro.core.pipeline import _decode_uncached, decode_dataset
+    streams = make_classification_dataset(n=shard, native_size=48,
+                                          input_size=32, seed=0).streams
+    personas = list(jpeg.DECODER_LIBRARIES)
+
+    def separate():
+        return [_decode_uncached(streams, lib) for lib in personas]
+
+    def shared():
+        cache = DecodeCache()
+        return [decode_dataset(streams, lib, cache) for lib in personas]
+
+    identical = all(a.tobytes() == b.tobytes()
+                    for a, b in zip(separate(), shared()))
+    t_sep = _bench(separate, repeats)
+    t_shared = _bench(shared, repeats)
+    return {
+        "images": shard,
+        "personas": len(personas),
+        "separate_s": round(t_sep, 4),
+        "shared_s": round(t_shared, 4),
+        "speedup": round(t_sep / t_shared, 2),
+        "bit_identical": identical,
     }
 
 
@@ -513,6 +549,11 @@ def main(argv: list[str] | None = None) -> int:
     dataset = bench_dataset_decode(n_decode, repeats)
     print(f"  {dataset['images']} imgs @48px: {dataset['scalar_ips']:.0f} -> "
           f"{dataset['vector_ips']:.0f} imgs/s ({dataset['speedup']:.1f}x)")
+    four = dataset["four_personas"]
+    print(f"  {four['personas']} personas x {four['images']} imgs: "
+          f"{four['separate_s']*1e3:.0f}ms -> {four['shared_s']*1e3:.0f}ms "
+          f"with one shared Huffman decode ({four['speedup']:.1f}x, "
+          f"identical={four['bit_identical']})")
 
     print("benchmarking inference (interpreted vs compiled plan) ...")
     inference = bench_inference(inf_models, inf_batches, max(2, repeats))
@@ -601,6 +642,15 @@ def main(argv: list[str] | None = None) -> int:
     if not memory["monolithic_above_dataset"]:
         print("FAIL: memory gate not discriminating (monolithic peak below "
               "the decoded dataset); grow the workload")
+        return 1
+    four = dataset["four_personas"]
+    if not four["bit_identical"]:
+        print("FAIL: personas decoded from shared Huffman coefficients "
+              "diverge from full decodes")
+        return 1
+    if four["speedup"] < 2.0:
+        print(f"FAIL: sharing the Huffman stage across {four['personas']} "
+              f"personas under 2x ({four['speedup']:.2f}x)")
         return 1
     for mname, r in inference["models"].items():
         if not r["outputs_identical"]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import im2col, pad2d_const, pool_output_size
+from repro.nn.functional import (im2col, max_pool2d_array, pad2d_const,
+                                 pool_output_size)
 
 from . import parallel as _par
 
@@ -368,8 +369,13 @@ def softmax_fast(x: np.ndarray, axis: int = -1) -> np.ndarray:
 # Pooling / resampling
 # ---------------------------------------------------------------------------
 
-def _pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-            ceil_mode: bool, reduce_fn, pad_value: float) -> np.ndarray:
+def max_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
+               ceil_mode: bool = False) -> np.ndarray:
+    return max_pool2d_array(x, kernel_size, stride, padding, ceil_mode)
+
+
+def avg_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
+               ceil_mode: bool = False) -> np.ndarray:
     n, c, h, w = x.shape
     oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
     ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
@@ -378,21 +384,13 @@ def _pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
     need_w = (ow - 1) * stride + kernel_size
     pad_r = max(need_h - h - padding, padding)
     pad_c = max(need_w - w - padding, padding)
-    xp = pad2d_const(x, padding, pad_r, padding, pad_c, pad_value)
+    xp = pad2d_const(x, padding, pad_r, padding, pad_c, 0.0)
     view = np.lib.stride_tricks.sliding_window_view(
         xp, (kernel_size, kernel_size), axis=(2, 3))
     view = view[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    return reduce_fn(view, axis=(-2, -1))
-
-
-def max_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-               ceil_mode: bool = False) -> np.ndarray:
-    return _pool2d(x, kernel_size, stride, padding, ceil_mode, np.max, -np.inf)
-
-
-def avg_pool2d(x: np.ndarray, kernel_size: int, stride: int, padding: int,
-               ceil_mode: bool = False) -> np.ndarray:
-    return _pool2d(x, kernel_size, stride, padding, ceil_mode, np.mean, 0.0)
+    # A mean over the window axes: its result depends on summation order,
+    # so it keeps this reduce rather than the max-pool's offset loop.
+    return np.mean(view, axis=(-2, -1))
 
 
 def global_avg_pool2d(x: np.ndarray) -> np.ndarray:

@@ -239,8 +239,11 @@ class _LruCache:
 class DecodeCache(_LruCache):
     """LRU cache of pre-processing batches keyed on content + pipeline knobs.
 
-    Two entry kinds share the LRU: raw decoded pixel batches keyed on
-    ``(digest, decoder)`` via :meth:`decode`, and fully pre-processed
+    Three entry kinds share the LRU: raw decoded pixel batches keyed on
+    ``(digest, decoder)`` via :meth:`decode`; the Huffman stage's int32
+    coefficients keyed on ``("coeffs", digest)``, which every persona
+    decoding the same streams shares (both stored by
+    :func:`repro.core.pipeline.decode_dataset`); and fully pre-processed
     (decoded + resized + colour-converted + normalised) tensors stored by
     :func:`repro.core.pipeline.preprocess_dataset` via :meth:`memo`.
     """

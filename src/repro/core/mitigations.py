@@ -85,11 +85,14 @@ class MitigationSpec:
 
     def train(self, adapter, model, ds, *, arg: str | None = None,
               model_name: str | None = None, seed: int = 0, epochs: int = 15,
-              **params):
+              cache=None, **params):
         """Train-time hook: train ``model`` on ``ds`` with this mitigation.
 
         Must be deterministic given ``(model, seed, epochs, params)`` so a
         resume or a shared-mode peer retrains bit-identical weights.
+        ``cache`` is the :class:`~repro.core.cache.DecodeCache` to
+        pre-process through (a session's own; None means the process-wide
+        default).
         """
         raise NotImplementedError(f"mitigation {self.name!r} is "
                                   f"{self.stage}-time; no train hook")
@@ -232,7 +235,7 @@ def checkpoint_name(mitigation: dict) -> str:
 
 def mitigation_train(mitigation: dict, adapter, model, ds, *,
                      model_name: str | None = None, seed: int = 0,
-                     epochs: int = 15):
+                     epochs: int = 15, cache=None):
     """Run a train-time mitigation's training hook from its identity dict."""
     spec = get_mitigation(mitigation["name"])
     if spec.stage != "train":
@@ -240,7 +243,7 @@ def mitigation_train(mitigation: dict, adapter, model, ds, *,
                          f"{spec.stage}-time; it has no training step")
     _, arg = split_mitigation_name(mitigation["name"])
     return spec.train(adapter, model, ds, arg=arg, model_name=model_name,
-                      seed=seed, epochs=epochs,
+                      seed=seed, epochs=epochs, cache=cache,
                       **mitigation.get("params", {}))
 
 
@@ -278,7 +281,7 @@ class MixTraining(MitigationSpec):
                 "batch_size": 32, "lr": 0.08, "weight_decay": 1e-4}
 
     def train(self, adapter, model, ds, *, arg=None, model_name=None,
-              seed=0, epochs=15, **params):
+              seed=0, epochs=15, cache=None, **params):
         import repro.nn as nn
         from ..mitigation.mix_training import _train_with_mix
         from .noise import TRAIN_CONFIG
@@ -295,7 +298,7 @@ class MixTraining(MitigationSpec):
                              seed=seed)
         return _train_with_mix(model_name or "", ds, decoders=decoders,
                                resizes=resizes, colors=colors, cfg=cfg,
-                               seed=seed, model=model)
+                               seed=seed, model=model, cache=cache)
 
 
 @register_mitigation
@@ -319,7 +322,7 @@ class Augmentation(MitigationSpec):
         get_augmentation(arg)            # raises with the valid strategies
 
     def train(self, adapter, model, ds, *, arg=None, model_name=None,
-              seed=0, epochs=15, **params):
+              seed=0, epochs=15, cache=None, **params):
         import repro.nn as nn
         from ..mitigation.augment import get_augmentation
         from .noise import TRAIN_CONFIG
@@ -328,7 +331,8 @@ class Augmentation(MitigationSpec):
         cfg = nn.TrainConfig(epochs=epochs, batch_size=p["batch_size"],
                              lr=p["lr"], weight_decay=p["weight_decay"],
                              seed=seed)
-        x = preprocess_dataset(ds.streams, ds.input_size, TRAIN_CONFIG)
+        x = preprocess_dataset(ds.streams, ds.input_size, TRAIN_CONFIG,
+                               cache)
         nn.train_classifier(model, x, ds.labels, cfg,
                             transform=get_augmentation(arg))
         return model
@@ -344,7 +348,7 @@ class AdversarialTraining(MitigationSpec):
                 "lr": 0.05, "weight_decay": 1e-4}
 
     def train(self, adapter, model, ds, *, arg=None, model_name=None,
-              seed=0, epochs=15, **params):
+              seed=0, epochs=15, cache=None, **params):
         import repro.nn as nn
         from ..mitigation.adversarial import _adversarial_train
         from .noise import TRAIN_CONFIG
@@ -353,7 +357,8 @@ class AdversarialTraining(MitigationSpec):
         cfg = nn.TrainConfig(epochs=epochs, batch_size=p["batch_size"],
                              lr=p["lr"], weight_decay=p["weight_decay"],
                              seed=seed)
-        x = preprocess_dataset(ds.streams, ds.input_size, TRAIN_CONFIG)
+        x = preprocess_dataset(ds.streams, ds.input_size, TRAIN_CONFIG,
+                               cache)
         return _adversarial_train(model, x, ds.labels, cfg,
                                   epsilon=p["epsilon"],
                                   pgd_steps=p["pgd_steps"])

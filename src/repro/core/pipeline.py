@@ -13,7 +13,9 @@ pre-processing, ``apply_model`` during deployment-model construction.
 
 Decoding is memoised through :class:`~repro.core.cache.DecodeCache`, keyed
 on the bitstream *contents* (not ``id()``) with an LRU bound.  Sessions own
-a private cache; the free functions share a module-level default.
+a private cache; the free functions share a module-level default.  The
+Huffman stage is memoised apart from the persona stages, so every persona
+decoding a batch through one cache shares one Huffman decode.
 
 Two dataflow shapes serve the same math:
 
@@ -40,7 +42,8 @@ import numpy as np
 from repro.nn import MaxPool2d, Tensor, apply_precision
 
 from ..image import color_roundtrip, decode_with, resize, resize_batch
-from ..image.jpeg import DECODER_LIBRARIES, decode_batch, iter_decode_batches
+from ..image.jpeg import (DECODER_LIBRARIES, decode_batch, entropy_decode,
+                          iter_decode_batches, same_geometry)
 from .cache import DecodeCache, object_token, streams_digest
 from .noise import NoiseConfig, TRAIN_CONFIG
 
@@ -56,18 +59,35 @@ def default_decode_cache() -> DecodeCache:
     return _DEFAULT_CACHE
 
 
-def _decode_uncached(streams: list, decoder: str) -> np.ndarray:
+def _decode_uncached(streams: list, decoder: str,
+                     coefficients: np.ndarray | None = None) -> np.ndarray:
     if decoder in DECODER_LIBRARIES and streams:
         idct, chroma = DECODER_LIBRARIES[decoder]
-        return decode_batch(streams, idct=idct, chroma_upsample=chroma)
+        return decode_batch(streams, idct=idct, chroma_upsample=chroma,
+                            coefficients=coefficients)
     return np.stack([decode_with(s, decoder) for s in streams])
 
 
 def decode_dataset(streams: list, decoder: str,
                    cache: DecodeCache | None = None) -> np.ndarray:
-    """Decode every bitstream with the named library persona (memoised)."""
+    """Decode every bitstream with the named library persona (memoised).
+
+    The decoded batch is cached under ``(digest, decoder)``.  A persona
+    decode of streams sharing one geometry also caches the Huffman stage's
+    coefficients under ``("coeffs", digest)``, so each further persona
+    decoding the same streams through ``cache`` skips it.
+    """
     cache = cache if cache is not None else _DEFAULT_CACHE
-    return cache.decode(streams, decoder, _decode_uncached)
+
+    def decode(streams: list, decoder: str) -> np.ndarray:
+        coefficients = None
+        if (decoder in DECODER_LIBRARIES and streams
+                and same_geometry(streams)):
+            coefficients = cache.memo(("coeffs", streams_digest(streams)),
+                                      lambda: entropy_decode(streams))
+        return _decode_uncached(streams, decoder, coefficients)
+
+    return cache.decode(streams, decoder, decode)
 
 
 def normalize(images_u8: np.ndarray) -> np.ndarray:

@@ -59,9 +59,10 @@ classic write-ahead-log shape used by fault-tolerant ML systems:
   ``ledger.jsonl`` aside, folds its terminal facts (latest ok per cell,
   unsuperseded errors, partial shards of incomplete cells) together with
   any prior snapshot into a new atomic ``snapshot.json``, and quarantines
-  corrupt lines.  Appenders take a shared ``flock`` and re-check the file's
-  inode, so a write racing a rotation lands either in the fold (captured by
-  the compactor's exclusive lock) or in the fresh ledger — never lost.
+  corrupt lines.  Appenders take an exclusive ``flock`` and re-check the
+  file's inode, so a write racing a rotation lands either in the fold
+  (captured by the compactor's exclusive lock) or in the fresh ledger —
+  never lost.
   Readers detect the rotation by inode and pick up exactly where they left
   off via the ``seq`` cursor.  The protocol is documented in
   ``docs/integrity.md``.
@@ -744,11 +745,15 @@ class RunLedger:
     def _append_bytes(self, data: bytes, kind: str = "") -> None:
         """One healed, fsync'd O_APPEND write (lock held by caller).
 
-        Rotation-safe: the write happens under a shared ``flock`` and only
-        after confirming the opened file is still ``ledger.jsonl``'s inode.
-        A compactor renaming the ledger takes an exclusive lock on the
-        renamed file, so every append lands either before the fold is read
-        (captured by the snapshot) or on the fresh ledger — never in limbo.
+        Rotation-safe: the write happens under an exclusive ``flock`` and
+        only after confirming the opened file is still ``ledger.jsonl``'s
+        inode.  A compactor renaming the ledger takes an exclusive lock on
+        the renamed file, so every append lands either before the fold is
+        read (captured by the snapshot) or on the fresh ledger — never in
+        limbo.  The lock is exclusive among appenders too: a peer's line
+        that crosses a page boundary is visible half-written while its
+        ``write`` runs, and the torn-tail heal below would take it for a
+        dead writer's fragment and append a stray blank line after it.
         """
         from .faults import fault_point
         lpath = self.path / _LEDGER
@@ -756,7 +761,7 @@ class RunLedger:
             fd = os.open(lpath, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
             try:
                 if fcntl is not None:
-                    fcntl.flock(fd, fcntl.LOCK_SH)
+                    fcntl.flock(fd, fcntl.LOCK_EX)
                 try:
                     cur_ino = os.stat(lpath).st_ino
                 except OSError:
@@ -928,7 +933,7 @@ class RunLedger:
         try:
             if fcntl is not None:
                 # Blocks until every appender that raced the rotation has
-                # finished its shared-locked write; after this the fold's
+                # finished its locked write; after this the fold's
                 # bytes are final (late appenders fail the inode re-check
                 # and divert to the fresh ledger).
                 fcntl.flock(fd, fcntl.LOCK_EX)

@@ -377,11 +377,13 @@ class BenchmarkSession:
         model = self._ensure_model(ds)
         if "epochs" in train_kw:
             self._fit_epochs = train_kw["epochs"]
+        # Training pre-processes through the session's cache, so nothing
+        # this session decodes outlives it in the process-wide default.
         if self._task_name == "cls":
             self.adapter.train(model, ds, cfg, model_name=self._model_name,
-                               **train_kw)
+                               cache=self.cache, **train_kw)
         else:
-            self.adapter.train(model, ds, cfg, **train_kw)
+            self.adapter.train(model, ds, cfg, cache=self.cache, **train_kw)
         # Training mutates the model in place: cached metrics and cached
         # deployment-model copies are stale (decoded pixels stay valid —
         # they are content-keyed).
@@ -583,7 +585,8 @@ class BenchmarkSession:
                                      self._train_ds,
                                      model_name=self._model_name,
                                      seed=self._seed,
-                                     epochs=self._fit_epochs)
+                                     epochs=self._fit_epochs,
+                                     cache=self.cache)
             model.eval()
             self._mitigated_models[key] = model
         return self._mitigated_models[key]

@@ -633,10 +633,12 @@ class SweepEngine:
         the worker tries every unresolved cell's ``shard-*`` claim, then
         moves to the next bound, and the ``eval-*`` merges come after all
         shards.  Each shard pass shares one decode scratch sized to the
-        row's distinct decoders, so a worker decodes each (shard, decoder)
-        once per pass instead of once per cell.  The scratch dies with its
-        pass, which keeps memory O(shard): a session-wide chunk cache would
-        hold every decoded shard of the dataset.
+        row's distinct decoders plus the shard's Huffman coefficients, so a
+        worker decodes each (shard, decoder) once per pass instead of once
+        per cell, and Huffman-decodes each shard once for all its decoders.
+        The scratch dies with its pass, which keeps memory O(shard): a
+        session-wide chunk cache would hold every decoded shard of the
+        dataset.
 
         Returns None — falling back to the local path — when no ledger is
         attached or any cell has no stable ledger identity (without a
@@ -682,7 +684,7 @@ class SweepEngine:
                 progressed = True
             pending = sorted(unresolved)
             for bound in (plan[1] if plan is not None else ()):
-                scratch = DecodeCache(maxsize=decoders)
+                scratch = DecodeCache(maxsize=decoders + 1)
                 for i in pending:
                     if self._shared_cell(wq, evaluate, model, ds, cfgs[i],
                                          names[i], lkeys[i], shard=bound,

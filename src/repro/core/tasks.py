@@ -9,6 +9,10 @@ members::
     train(model, ds, **kw)    -> trained model (through the training pipeline)
     evaluate(model, ds, cfg)  -> metric (percent / MSE) under one NoiseConfig
 
+``train`` and ``evaluate`` take an optional ``cache``: the
+:class:`~repro.core.cache.DecodeCache` their pre-processing memoises into
+(a session passes its own; None means the process-wide default).
+
 Adapters self-register into a task registry via :func:`register_task`, so a
 new workload is one file away from being sweepable through
 :class:`~repro.core.session.BenchmarkSession` and visible to the CLI —
@@ -312,7 +316,8 @@ class ClassificationAdapter(_ImageStreamMixin, TaskAdapter):
                                            **kw)
 
     def train(self, model, ds, cfg=None, *, model_name: str | None = None,
-              pipeline_cfg: NoiseConfig = TRAIN_CONFIG, **cfg_kw):
+              pipeline_cfg: NoiseConfig = TRAIN_CONFIG,
+              cache: DecodeCache | None = None, **cfg_kw):
         import repro.nn as nn
         if cfg is None:
             from ..models import family_of
@@ -322,7 +327,7 @@ class ClassificationAdapter(_ImageStreamMixin, TaskAdapter):
                         else dict(batch_size=32, lr=0.1, weight_decay=1e-4))
             defaults.update(cfg_kw)
             cfg = nn.TrainConfig(**defaults)
-        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg)
+        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg, cache)
         nn.train_classifier(model, x, ds.labels, cfg)
         return model
 
@@ -418,14 +423,15 @@ class DetectionAdapter(_ImageStreamMixin, TaskAdapter):
                                       max_objects=max_objects, **kw)
 
     def train(self, model, ds, cfg=None, *,
-              pipeline_cfg: NoiseConfig = TRAIN_CONFIG, **cfg_kw):
+              pipeline_cfg: NoiseConfig = TRAIN_CONFIG,
+              cache: DecodeCache | None = None, **cfg_kw):
         from ..detection import DetTrainConfig
         from ..detection.retinanet import train_detector
         if cfg is None:
             defaults = dict(epochs=10, batch_size=8, lr=4e-3)
             defaults.update(cfg_kw)
             cfg = DetTrainConfig(**defaults)
-        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg)
+        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg, cache)
         train_detector(model, x, ds.gt_boxes, cfg)
         return model
 
@@ -514,14 +520,15 @@ class SegmentationAdapter(_ImageStreamMixin, TaskAdapter):
         return make_segmentation_dataset(n=n, size=size, seed=seed, **kw)
 
     def train(self, model, ds, cfg=None, *,
-              pipeline_cfg: NoiseConfig = TRAIN_CONFIG, **cfg_kw):
+              pipeline_cfg: NoiseConfig = TRAIN_CONFIG,
+              cache: DecodeCache | None = None, **cfg_kw):
         from ..segmentation import SegTrainConfig
         from ..segmentation.miou import train_segmenter
         if cfg is None:
             defaults = dict(epochs=10, batch_size=8, lr=5e-3)
             defaults.update(cfg_kw)
             cfg = SegTrainConfig(**defaults)
-        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg)
+        x = preprocess_dataset(ds.streams, ds.input_size, pipeline_cfg, cache)
         train_segmenter(model, x, ds.labels, cfg)
         return model
 
@@ -617,7 +624,8 @@ class NLPAdapter(TaskAdapter):
         calib = grammar.corpus(n_sequences=32, length=20, seed=seed + 7)
         return NLPDataset(tasks[task], calib)
 
-    def train(self, model, ds, cfg=None, *, corpus=None, **cfg_kw):
+    def train(self, model, ds, cfg=None, *, corpus=None,
+              cache: DecodeCache | None = None, **cfg_kw):
         from ..nlp import LMTrainConfig, train_lm
         if corpus is None:
             if getattr(ds, "calib_corpus", None) is None:
@@ -684,7 +692,8 @@ class AudioAdapter(TaskAdapter):
         from ..data import make_tts_dataset
         return make_tts_dataset(n=n, seed=seed, **kw)
 
-    def train(self, model, ds, cfg=None, **cfg_kw):
+    def train(self, model, ds, cfg=None, *,
+              cache: DecodeCache | None = None, **cfg_kw):
         from ..audio import TTSTrainConfig, train_tts
         if cfg is None:
             defaults = dict(epochs=15, lr=5e-3)

@@ -12,6 +12,10 @@ encode:  RGB → full-range YCbCr (JFIF) → optional 4:2:0 subsample → level
 decode:  Huffman → dequantise → **iDCT variant** → clip/round → chroma
          upsample → RGB.
 
+The Huffman stage (:func:`entropy_decode`) is integer arithmetic that no
+persona changes, so a caller decoding one batch with several personas can
+run it once and hand the coefficients to each :func:`decode_batch`.
+
 Four named decoders map onto the paper's four libraries:
 
 ==========  =======================  ==============================
@@ -38,10 +42,10 @@ import numpy as np
 from .dct import IDCT_VARIANTS, dct2
 
 __all__ = [
-    "encode", "decode", "decode_batch", "decode_with", "DECODER_LIBRARIES",
-    "JpegBitstream", "quality_tables", "zigzag_order", "BASE_LUMA_QTABLE",
-    "BASE_CHROMA_QTABLE", "ENTROPY_CODERS", "default_entropy",
-    "set_default_entropy",
+    "encode", "decode", "decode_batch", "decode_with", "entropy_decode",
+    "same_geometry", "DECODER_LIBRARIES", "JpegBitstream", "quality_tables",
+    "zigzag_order", "BASE_LUMA_QTABLE", "BASE_CHROMA_QTABLE",
+    "ENTROPY_CODERS", "default_entropy", "set_default_entropy",
 ]
 
 MAGIC = b"RJPG"
@@ -310,6 +314,7 @@ def _read_symbol(reader: _BitReader, decode_map) -> int:
 
 
 def _decode_component(reader: _BitReader, n_blocks: int, table: int) -> np.ndarray:
+    """One component's coefficients, ``(n_blocks, 64)`` in zig-zag order."""
     _, dc_dec = _HUFF[("dc", table)]
     _, ac_dec = _HUFF[("ac", table)]
     out = np.zeros((n_blocks, 64), dtype=np.int32)
@@ -331,7 +336,7 @@ def _decode_component(reader: _BitReader, n_blocks: int, table: int) -> np.ndarr
             k += run
             out[b, k] = _decode_magnitude(reader.read(size), size)
             k += 1
-    return out[:, _UNZIGZAG].reshape(n_blocks, 8, 8)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +511,63 @@ def decode(stream: JpegBitstream, idct: str = "reference",
     return decode_batch([stream], idct, chroma_upsample, entropy)[0]
 
 
+def same_geometry(streams: list) -> bool:
+    """Whether every stream shares one coefficient layout.
+
+    Equal size, quality, subsampling and block grids: the condition for
+    decoding the list as one batch and for :func:`entropy_decode`.
+    """
+    first = streams[0]
+    return all(s.height == first.height and s.width == first.width
+               and s.quality == first.quality
+               and s.subsample == first.subsample
+               and s.n_blocks == first.n_blocks for s in streams[1:])
+
+
+def _component_blocks(stream: JpegBitstream) -> tuple[int, int, int]:
+    """Block counts of the luma, Cb and Cr components, in stream order."""
+    lhb, lwb, chb, cwb = stream.n_blocks
+    return lhb * lwb, chb * cwb, chb * cwb
+
+
+def entropy_decode(streams: list, entropy: str | None = None) -> np.ndarray:
+    """The Huffman stage of decoding: ``(N, K)`` int32 coefficients.
+
+    Row ``i`` holds stream ``i``'s quantised coefficients in zig-zag order,
+    luma blocks then Cb then Cr (``K = 64 * blocks``).  No decoder persona
+    changes this stage, so its result can feed :func:`decode_batch` for
+    every persona.  The streams must share one geometry
+    (:func:`same_geometry`).  int32 holds every value the decoder can
+    produce, and widening it to float64 is exact.
+    """
+    if len(streams) == 0:
+        raise ValueError("entropy_decode needs at least one stream")
+    if not same_geometry(streams):
+        raise ValueError("entropy_decode needs streams of one geometry")
+    entropy = _resolve_entropy(entropy)
+    counts = _component_blocks(streams[0])
+    if entropy == "vector":
+        from .entropy import ComponentDecoder
+        flat: list[int] = []
+        for stream in streams:
+            vec = ComponentDecoder(stream.payload)
+            for i, n_blocks in enumerate(counts):
+                flat.extend(vec.decode_component_flat(
+                    n_blocks, 0 if i == 0 else 1))
+        return np.array(flat, dtype=np.int32).reshape(len(streams), -1)
+    rows = []
+    for stream in streams:
+        reader = _BitReader(stream.payload)
+        rows.append(np.concatenate(
+            [_decode_component(reader, n_blocks, 0 if i == 0 else 1)
+             .reshape(-1) for i, n_blocks in enumerate(counts)]))
+    return np.stack(rows)
+
+
 def decode_batch(streams: list, idct: str = "reference",
                  chroma_upsample: str = "replicate",
-                 entropy: str | None = None) -> np.ndarray:
+                 entropy: str | None = None,
+                 coefficients: np.ndarray | None = None) -> np.ndarray:
     """Decode a list of bitstreams into one (N, H, W, 3) uint8 batch.
 
     The per-image output is bit-identical to :func:`decode`; the win is
@@ -516,20 +575,29 @@ def decode_batch(streams: list, idct: str = "reference",
     sequential), but the iDCT, un-blocking, chroma upsampling and colour
     conversion run once over the whole batch.  Streams of mixed geometry
     (shape/quality/subsampling) fall back to per-image decoding.
+
+    ``coefficients`` is the :func:`entropy_decode` of ``streams``, when the
+    caller already has it (it then skips the Huffman stage; ``entropy`` is
+    unused).  The output is the same bytes either way.
     """
     if len(streams) == 0:
         raise ValueError("decode_batch needs at least one stream")
-    first = streams[0]
-    if any(s.height != first.height or s.width != first.width
-           or s.quality != first.quality or s.subsample != first.subsample
-           or s.n_blocks != first.n_blocks for s in streams[1:]):
+    if not same_geometry(streams):
+        if coefficients is not None:
+            raise ValueError("coefficients need streams of one geometry")
         return np.stack([decode(s, idct, chroma_upsample, entropy)
                          for s in streams])
-    entropy = _resolve_entropy(entropy)
     idct_fn = IDCT_VARIANTS[idct]
     if chroma_upsample not in ("replicate", "fancy"):
         raise ValueError(f"unknown chroma upsampling {chroma_upsample!r}")
     upsample = _upsample_2x if chroma_upsample == "replicate" else _upsample_2x_fancy
+    first = streams[0]
+    n = len(streams)
+    if coefficients is None:
+        coefficients = entropy_decode(streams, entropy)
+    elif coefficients.shape != (n, 64 * sum(_component_blocks(first))):
+        raise ValueError(f"coefficients of shape {coefficients.shape} do not "
+                         f"match {n} streams of this geometry")
     luma_q, chroma_q = quality_tables(first.quality)
     lhb, lwb, chb, cwb = first.n_blocks
     h, w = first.height, first.width
@@ -540,34 +608,15 @@ def decode_batch(streams: list, idct: str = "reference",
     specs = [((lhb, lwb), (h, w)), ((chb, cwb), (ch, cw)),
              ((chb, cwb), (ch, cw))]
 
-    # Entropy-decode every stream (per-stream, inherently sequential)...
-    n = len(streams)
-    quantised: list[list] = [[] for _ in specs]
-    if entropy == "vector":
-        from .entropy import ComponentDecoder
-        for stream in streams:
-            vec = ComponentDecoder(stream.payload)
-            for i, (grid, _) in enumerate(specs):
-                quantised[i].append(vec.decode_component_flat(
-                    grid[0] * grid[1], 0 if i == 0 else 1))
-    else:
-        for stream in streams:
-            reader = _BitReader(stream.payload)
-            for i, (grid, _) in enumerate(specs):
-                quantised[i].append(_decode_component(
-                    reader, grid[0] * grid[1], 0 if i == 0 else 1))
-
-    # ...then run the whole batch through each remaining stage at once.
+    # Run the whole batch through each stage after the Huffman one at once.
     ycc = np.empty((n, h, w, 3), dtype=np.float64)
-    for i, (grid, shape) in enumerate(specs):
-        hb, wb = grid
-        if entropy == "vector":
-            # Equal-length flat lists (geometry is uniform here): one
-            # np.array pass over the list-of-lists, no intermediate flatten.
-            coeffs = (np.array(quantised[i], dtype=np.float64)
-                      .reshape(-1, 64)[:, _UNZIGZAG].reshape(-1, 8, 8))
-        else:
-            coeffs = np.concatenate(quantised[i]).astype(np.float64)
+    per_block = coefficients.reshape(n, -1, 64)
+    first_block = 0
+    for i, ((hb, wb), shape) in enumerate(specs):
+        zigzagged = per_block[:, first_block:first_block + hb * wb]
+        first_block += hb * wb
+        coeffs = (zigzagged[..., _UNZIGZAG].astype(np.float64)
+                  .reshape(-1, 8, 8))
         qtable = luma_q if i == 0 else chroma_q
         blocks = idct_fn(coeffs * qtable) + 128.0
         planes = (blocks.reshape(n, hb, wb, 8, 8)

@@ -31,7 +31,7 @@ def _train_with_mix(model_name: str, ds: ClassificationDataset,
                     resizes: list[str] | None = None,
                     colors: list[str | None] | None = None,
                     cfg: nn.TrainConfig | None = None, seed: int = 0,
-                    model=None):
+                    model=None, cache=None):
     """Algorithm 1: per-batch random decoder/resize/color sampling.
 
     ``decoders``/``resizes``/``colors`` are the pools to sample from; pass
@@ -40,7 +40,9 @@ def _train_with_mix(model_name: str, ds: ClassificationDataset,
     paper's Algorithm 1 covers decoder and resize; the color axis is the
     same "see every variant" principle applied to the third pre-processing
     noise.  Returns the trained model (a fresh one unless ``model`` is
-    supplied).
+    supplied).  The variant arrays are memoised in ``cache`` (a
+    :class:`~repro.core.cache.DecodeCache`; None means the process-wide
+    default).
     """
     cfg = cfg or nn.TrainConfig(epochs=25, batch_size=32, lr=0.08,
                                 weight_decay=1e-4)
@@ -58,7 +60,7 @@ def _train_with_mix(model_name: str, ds: ClassificationDataset,
                 cfg_i = TRAIN_CONFIG.with_(decoder=d, resize_method=r,
                                            color=c)
                 variants[(d, r, c)] = preprocess_dataset(
-                    ds.streams, ds.input_size, cfg_i)
+                    ds.streams, ds.input_size, cfg_i, cache)
     keys = list(variants)
 
     opt = nn.SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum,

@@ -25,7 +25,7 @@ __all__ = [
     "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
     "pool_output_size", "upsample2d", "linear", "batch_norm", "layer_norm",
     "softmax", "log_softmax", "cross_entropy", "embedding", "dropout",
-    "im2col", "col2im", "pad2d_const",
+    "im2col", "col2im", "pad2d_const", "max_pool2d_array",
 ]
 
 
@@ -285,6 +285,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # Pooling
 # ---------------------------------------------------------------------------
 
+def max_pool2d_array(x: np.ndarray, kernel_size: int, stride: int,
+                     padding: int, ceil_mode: bool = False) -> np.ndarray:
+    """Max pooling of an NCHW array, without gradient bookkeeping.
+
+    One in-place ``np.maximum`` per kernel offset over strided slices of
+    the ``-inf``-padded map, in row-major offset order.  Max is exact, so
+    this gives the same bits as reducing a window view, NaN and signed
+    zeros included, at a fraction of the cost of NumPy's reduce over two
+    short strided axes.  The result is a fresh C-contiguous array.
+    """
+    h, w = x.shape[2:]
+    oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
+    ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
+    if oh < 1 or ow < 1:
+        raise ValueError(f"max pooling window {kernel_size} is larger than "
+                         f"the {h}x{w} map padded by {padding}")
+    xp = _padded(x, kernel_size, kernel_size, stride, padding, 1, oh, ow,
+                 -np.inf)[0]
+    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    out = xp[:, :, :span_h:stride, :span_w:stride].copy()
+    for i in range(kernel_size):
+        for j in range(kernel_size):
+            if i or j:
+                np.maximum(out, xp[:, :, i:i + span_h:stride,
+                                   j:j + span_w:stride], out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
                padding: int = 0, *, ceil_mode: bool = False) -> Tensor:
     """Max pooling with the train/deploy **ceil-mode** switch.
@@ -296,17 +324,14 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None,
     downstream feature location, the effect the paper measures.
     """
     stride = stride or kernel_size
+    if not is_grad_enabled():
+        # Inference fast path: the window max without materialising
+        # columns or an argmax (only the backward needs one).
+        return Tensor(max_pool2d_array(x.data, kernel_size, stride, padding,
+                                       ceil_mode))
     n, c, h, w = x.shape
     oh = pool_output_size(h, kernel_size, stride, padding, ceil_mode)
     ow = pool_output_size(w, kernel_size, stride, padding, ceil_mode)
-    if not is_grad_enabled():
-        # Inference fast path: reduce over a strided window view — the max
-        # of the same window contents, without materialising columns or an
-        # argmax (only the backward needs one).
-        xp = _padded(x.data, kernel_size, kernel_size, stride, padding, 1,
-                     oh, ow, -np.inf)[0]
-        view = _window_view(xp, kernel_size, kernel_size, stride, 1, oh, ow)
-        return Tensor(view.max(axis=(-2, -1)))
     cols, meta = im2col(x.data, kernel_size, kernel_size, stride, padding,
                         pad_value=-np.inf, out_hw=(oh, ow))
     cols = cols.reshape(n, c, kernel_size * kernel_size, oh * ow)

@@ -105,6 +105,37 @@ class TestDecodeCache:
         cache.decode(s, "pil", decode)     # evicted → miss again
         assert cache.misses == 4
 
+    def test_personas_share_one_huffman_decode(self, monkeypatch):
+        import repro.core.pipeline as pipeline
+        from repro.image import jpeg
+        from repro.image.jpeg import DECODER_LIBRARIES, decode_batch
+        streams = self._streams(seed=6, n=5)
+        calls = []
+        real = jpeg.entropy_decode
+
+        def spy(s, *rest):
+            calls.append(len(s))
+            return real(s, *rest)
+
+        # Both bindings: the pipeline's memoised call, and decode_batch's
+        # own, which must not run when it is handed the coefficients.
+        monkeypatch.setattr(pipeline, "entropy_decode", spy)
+        monkeypatch.setattr(jpeg, "entropy_decode", spy)
+        cache = DecodeCache()
+        for lib, (idct, chroma) in DECODER_LIBRARIES.items():
+            got = pipeline.decode_dataset(streams, lib, cache)
+            assert got.tobytes() == decode_batch(streams, idct,
+                                                 chroma).tobytes()
+        assert calls == [5] * 5                # 1 shared + 4 references
+        calls.clear()
+        cache.clear()
+        for lib in DECODER_LIBRARIES:
+            pipeline.decode_dataset(streams, lib, cache)
+        assert calls == [5]                    # one Huffman decode in all
+        assert len(cache) == len(DECODER_LIBRARIES) + 1
+        pipeline.decode_dataset(streams[:3], "pil", cache)
+        assert calls == [5, 3]                 # keyed on the contents
+
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
             DecodeCache(maxsize=0)
@@ -164,6 +195,35 @@ class TestBenchmarkSession:
         curve = (Session().task("cls").model("mcunet-293kb").dataset(val)
                  .worst_case(["precision", "resize"]))
         assert [n for n, _ in curve] == ["resize", "precision"]
+
+
+class TestSessionCacheScope:
+    def test_sessions_leave_the_default_decode_cache_empty(self):
+        """fit, run and a train-time mitigation pre-process through the
+        session's own cache, so a long-lived process (``repro serve``)
+        keeps no training set of a finished session."""
+        from repro.core.pipeline import default_decode_cache
+        default = default_decode_cache()
+        default.clear()
+        sessions = [
+            (Session().task("cls").model("mcunet-293kb")
+             .data(n=24, native_size=32, input_size=32, train_frac=0.75)
+             .noises("decoder").combined(False).mitigate("augment:standard")),
+            (Session().task("cls").model("resnet18x0.25")
+             .data(n=24, native_size=32, input_size=32, seed=1,
+                   train_frac=0.75).noises("resize").combined(False)),
+            (Session().task("det").model("retinanet")
+             .data(n=8, size=32, train_frac=0.5).noises("decoder")
+             .combined(False)),
+            (Session().task("seg").model("unet")
+             .data(n=8, size=32, train_frac=0.5).noises("decoder")
+             .combined(False)),
+        ]
+        for session in sessions:
+            session.fit(epochs=1)
+            session.run()
+            assert len(session.cache) > 0       # the session's cache did fill
+        assert len(default) == 0
 
 
 class TestPluggabilityAcceptance:

@@ -250,14 +250,25 @@ class TestShardMajor:
         lock = threading.Lock()
         real = pipeline._decode_uncached
 
-        def spy(streams, decoder):
+        def spy(streams, decoder, *rest):
             who, start = where[id(streams[0])]
             with lock:
                 key = (who, start, len(streams), decoder)
                 decodes[key] = decodes.get(key, 0) + 1
-            return real(streams, decoder)
+            return real(streams, decoder, *rest)
+
+        huffman: dict[tuple, int] = {}
+        real_huffman = pipeline.entropy_decode
+
+        def huffman_spy(streams, *rest):
+            who, start = where[id(streams[0])]
+            with lock:
+                key = (who, start, len(streams))
+                huffman[key] = huffman.get(key, 0) + 1
+            return real_huffman(streams, *rest)
 
         monkeypatch.setattr(pipeline, "_decode_uncached", spy)
+        monkeypatch.setattr(pipeline, "entropy_decode", huffman_spy)
         rows = [None, None]
 
         def work(i, engine, data):
@@ -292,6 +303,48 @@ class TestShardMajor:
         assert {k[1:] for k in decodes if k[2] == 8} == need
         # The only other decode is each engine's int8 calibration slice.
         assert {k[1:] for k in decodes if k[2] != 8} == {(0, 32, "dali")}
+        # One Huffman decode per (engine, shard) served all of the shard's
+        # decoders, and no engine Huffman-decoded what it did not decode.
+        assert max(huffman.values()) == 1
+        assert set(huffman) == {k[:3] for k in decodes}
+        assert len(decodes) > len(huffman)
+
+    def test_scratch_holds_every_decoder_and_the_coefficients(
+            self, tmp_path, cls_row, monkeypatch):
+        """A decoder that recurs after the row's last new decoder still
+        finds its pixels and the shard's coefficients in the scratch."""
+        import repro.core.pipeline as pipeline
+        from repro.core.registry import get_noise
+        adapter, net, ds = cls_row
+        resize = get_noise("resize").variants()[0]
+        cfgs = [NoiseConfig(decoder=d) for d in ("pil", "opencv", "ffmpeg",
+                                                 "dali")]
+        cfgs.append(NoiseConfig(decoder="pil", resize_method=resize))
+        engine = _cls_engine(RunLedger.create(tmp_path / "run",
+                                              {"model": "m"}))
+        start_of = {id(s): i for i, s in enumerate(ds.streams)}
+        decodes, huffman = [], []
+        real, real_huffman = pipeline._decode_uncached, pipeline.entropy_decode
+
+        def spy(streams, decoder, *rest):
+            decodes.append((start_of[id(streams[0])], len(streams), decoder))
+            return real(streams, decoder, *rest)
+
+        def huffman_spy(streams, *rest):
+            huffman.append((start_of[id(streams[0])], len(streams)))
+            return real_huffman(streams, *rest)
+
+        monkeypatch.setattr(pipeline, "_decode_uncached", spy)
+        monkeypatch.setattr(pipeline, "entropy_decode", huffman_spy)
+        values, errors = engine._map_configs(_cls_eval(adapter), net, ds,
+                                             cfgs)
+        assert not errors and len(values) == len(cfgs)
+        shard_decodes = [d for d in decodes if d[1] == 8]
+        assert sorted(shard_decodes) == sorted(
+            {(start, 8, c.decoder) for start in (0, 8, 16, 24)
+             for c in cfgs})
+        assert sorted(h for h in huffman if h[1] == 8) == [
+            (start, 8) for start in (0, 8, 16, 24)]
 
     def test_won_claim_rechecks_a_refreshed_ledger(self, tmp_path, cls_row,
                                                    monkeypatch):

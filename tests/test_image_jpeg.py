@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.image import jpeg
 from repro.image.jpeg import (DECODER_LIBRARIES, JpegBitstream, decode,
-                              decode_with, encode, quality_tables,
+                              decode_batch, decode_with, encode,
+                              entropy_decode, quality_tables, same_geometry,
                               zigzag_order)
 
 
@@ -160,3 +161,83 @@ class TestDecoderPersonas:
         for lib in DECODER_LIBRARIES:
             out = decode_with(self.stream, lib)
             assert np.abs(out.astype(int) - self.img.astype(int)).mean() < 6.0
+
+
+class TestSharedHuffmanStage:
+    """``entropy_decode`` is the persona-independent first stage of
+    ``decode_batch``: decoding from its coefficients gives the same bytes."""
+
+    @pytest.mark.parametrize("subsample", [True, False])
+    @pytest.mark.parametrize("entropy", ["vector", "scalar"])
+    def test_cached_coefficients_decode_the_same_bytes(self, entropy,
+                                                       subsample):
+        streams = [encode(smooth_image(21, 26, seed=s), quality=85,
+                          subsample=subsample) for s in range(5)]
+        coefficients = entropy_decode(streams, entropy)
+        lhb, lwb, chb, cwb = streams[0].n_blocks
+        assert coefficients.dtype == np.int32
+        assert coefficients.shape == (5, 64 * (lhb * lwb + 2 * chb * cwb))
+        for lib, (idct, chroma) in DECODER_LIBRARIES.items():
+            want = decode_batch(streams, idct, chroma, entropy)
+            got = decode_batch(streams, idct, chroma,
+                               coefficients=coefficients)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lib
+            assert got.tobytes() == np.stack(
+                [decode_with(s, lib) for s in streams]).tobytes(), lib
+
+    def test_both_coders_give_the_same_coefficients(self):
+        streams = [encode(smooth_image(24, 17, seed=s), quality=q)
+                   for s, q in ((0, 90), (1, 90), (2, 90))]
+        np.testing.assert_array_equal(entropy_decode(streams, "scalar"),
+                                      entropy_decode(streams, "vector"))
+
+    def test_rows_are_per_stream_luma_then_chroma_in_zigzag_order(self):
+        # Grey pixels (no chroma energy) whose rows follow the first
+        # vertical cosine: only DC and natural (1, 0) — zig-zag index 2,
+        # natural index 8 — carry luma energy.
+        y = np.arange(16)[:, None] * np.ones((1, 16))
+        grey = 128 + 60 * np.cos((2 * (y % 8) + 1) * np.pi / 16)
+        img = np.repeat(np.round(grey)[..., None], 3, axis=-1)
+        streams = [encode(img.astype(np.uint8), quality=90),
+                   encode(smooth_image(16, 16, seed=4), quality=90)]
+        coefficients = entropy_decode(streams)
+        for i, stream in enumerate(streams):
+            np.testing.assert_array_equal(entropy_decode([stream])[0],
+                                          coefficients[i])
+        lhb, lwb, _, _ = streams[0].n_blocks
+        luma = coefficients[0, :64 * lhb * lwb].reshape(-1, 64)
+        assert (luma[:, 2] != 0).all()
+        assert (np.delete(luma, [0, 2], axis=1) == 0).all()
+        assert (coefficients[0, 64 * lhb * lwb:] == 0).all()
+
+    def test_mixed_geometry_keeps_per_image_decoding(self):
+        from repro.core import DecodeCache
+        from repro.core.pipeline import decode_dataset
+        streams = [encode(smooth_image(16, 16), 90),
+                   encode(smooth_image(16, 16, seed=2), 75),   # quality
+                   encode(smooth_image(16, 24, seed=3), 90)]   # shape
+        assert not same_geometry(streams)
+        assert same_geometry(streams[:1])
+        with pytest.raises(ValueError, match="one geometry"):
+            entropy_decode(streams)
+        with pytest.raises(ValueError, match="one geometry"):
+            decode_batch(streams[:2],
+                         coefficients=entropy_decode(streams[:1]))
+        for lib, (idct, chroma) in DECODER_LIBRARIES.items():
+            per = [decode_with(s, lib) for s in streams[:2]]
+            np.testing.assert_array_equal(
+                decode_batch(streams[:2], idct, chroma), np.stack(per))
+        cache = DecodeCache()
+        out = decode_dataset(streams[:2], "pil", cache)
+        np.testing.assert_array_equal(
+            out, np.stack([decode_with(s, "pil") for s in streams[:2]]))
+        assert len(cache) == 1                 # pixels only, no coefficients
+
+    def test_coefficients_must_match_the_streams(self):
+        streams = [encode(smooth_image(16, 16, seed=s), 90) for s in range(3)]
+        coefficients = entropy_decode(streams)
+        with pytest.raises(ValueError, match="do not match"):
+            decode_batch(streams[:2], coefficients=coefficients)
+        with pytest.raises(ValueError):
+            entropy_decode([])

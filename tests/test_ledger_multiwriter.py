@@ -14,8 +14,12 @@ or still be dangling at EOF when the replay happens; both must be
 invisible to the replayed index.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -91,3 +95,39 @@ def test_replay_is_union_of_complete_entries(schedule):
             live = [(e["cfg"], e["value"]) for e in w.entries()
                     if e.get("kind") == "eval" and "torn_by" not in e]
             assert live == complete
+
+
+#: One writer process: ``n`` shard appends of varied size, so lines keep
+#: straddling page boundaries of the ledger file.
+_WRITER = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from repro.core import RunLedger
+    ledger = RunLedger(Path(sys.argv[1]))
+    for i in range(int(sys.argv[3])):
+        ledger.record_shard("m", "ds", f"{sys.argv[2]}-{i}", start=0,
+                            stop=64, state={"hits": list(range(i % 300))},
+                            label=sys.argv[2])
+""")
+
+
+def test_concurrent_appenders_never_heal_a_live_write(tmp_path):
+    """A peer's line is visible half-written while its ``write`` runs (the
+    file grows a page at a time); an appender that mistook it for a dead
+    writer's torn tail appended a stray blank line after it."""
+    for trial in range(5):
+        run_dir = tmp_path / f"run{trial}"
+        RunLedger.create(run_dir, {"model": "m"})
+        procs = [subprocess.Popen([sys.executable, "-c", _WRITER,
+                                   str(run_dir), f"w{k}", "400"])
+                 for k in range(2)]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        lines = (run_dir / "ledger.jsonl").read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert all(json.loads(line)["kind"] == "shard"
+                   for line in lines[:-1])
+        assert len(lines) - 1 == 800
+        replay = RunLedger(run_dir)
+        assert replay.counts()["corrupt"] == 0
+        assert len(replay.entries()) == 800

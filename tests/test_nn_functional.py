@@ -240,6 +240,148 @@ class TestIm2col:
         np.testing.assert_array_equal(wt.grad, gw.reshape(w.shape))
 
 
+def _window_reduce_max_pool(x, k, stride, pad, ceil_mode=False):
+    """Reference max-pool: the window-view reduce the fast path replaced."""
+    n, c, h, w = x.shape
+    oh = F.pool_output_size(h, k, stride, pad, ceil_mode)
+    ow = F.pool_output_size(w, k, stride, pad, ceil_mode)
+    pad_b = max(0, (oh - 1) * stride + k - (h + pad))
+    pad_r = max(0, (ow - 1) * stride + k - (w + pad))
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad_b), (pad, pad_r)),
+                constant_values=-np.inf)
+    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    view = view[:, :, :(oh - 1) * stride + 1:stride,
+                :(ow - 1) * stride + 1:stride]
+    return view.max(axis=(-2, -1))
+
+
+def _special_values_map(shape, dtype, seed):
+    """Normal noise salted with +0.0, -0.0, +inf, -inf and NaN."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    for lo, hi, value in ((0.0, 0.2, 0.0), (0.2, 0.4, -0.0),
+                          (0.4, 0.43, np.inf), (0.43, 0.46, -np.inf),
+                          (0.46, 0.48, np.nan)):
+        x[(pick >= lo) & (pick < hi)] = value
+    return x.astype(dtype)
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    uint = np.dtype(f"u{got.itemsize}")
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
+class TestMaxPoolKernel:
+    """The strided-maximum max-pool is the window-view reduce, to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_window_reduce_over_geometry_grid(self, k, dtype):
+        from repro.backend import ops
+        from repro.nn import no_grad
+        x = _special_values_map((2, 3, 11, 13), dtype, seed=k)
+        seen = np.zeros(4, dtype=bool)        # -0.0, +0.0, NaN, +inf outputs
+        for stride in (1, 2, 3):
+            for pad in (0, 1, 2):
+                for ceil_mode in (False, True):
+                    want = _window_reduce_max_pool(x, k, stride, pad,
+                                                   ceil_mode)
+                    got = [F.max_pool2d_array(x, k, stride, pad, ceil_mode),
+                           ops.max_pool2d(x, k, stride, pad, ceil_mode)]
+                    if dtype == np.float64:
+                        with no_grad():
+                            got.append(F.max_pool2d(
+                                Tensor(x), k, stride, pad,
+                                ceil_mode=ceil_mode).data)
+                    for out in got:
+                        _assert_same_bits(out, want)
+                        assert not np.shares_memory(out, x)
+                    zero = want == 0
+                    seen |= [(zero & np.signbit(want)).any(),
+                             (zero & ~np.signbit(want)).any(),
+                             np.isnan(want).any(), np.isposinf(want).any()]
+        assert seen.all()                     # the special values reached out
+
+    def test_map_smaller_than_window_raises(self):
+        with pytest.raises(ValueError):
+            F.max_pool2d_array(np.zeros((1, 1, 2, 2)), 3, 1, 0)
+
+    def test_grad_path_keeps_the_argmax_lowering(self):
+        x = _special_values_map((2, 3, 9, 9), np.float64, seed=0)
+        x[np.isnan(x)] = 1.0
+        for ceil_mode in (False, True):
+            out = F.max_pool2d(Tensor(x, requires_grad=True), 3, 2, 1,
+                               ceil_mode=ceil_mode)
+            np.testing.assert_array_equal(
+                out.data, _window_reduce_max_pool(x, 3, 2, 1, ceil_mode))
+
+
+class TestMaxPoolNetworks:
+    """Max-pool networks run the same bits with the window reduce swapped
+    back in, and the compiled plan stays equal to the interpreter."""
+
+    @staticmethod
+    def _nets():
+        import repro.nn as nn
+        from repro.detection.backbone import DetBackbone
+        from repro.models import create_model
+        nets = {"resnet18x0.25": create_model("resnet18x0.25", num_classes=5,
+                                              seed=0)}
+        for name in ("resnet-34", "resnet-50"):
+            bb = DetBackbone(name, seed=0)
+            nets[name] = nn.Sequential(bb.stem, nn.ReLU(), bb.pool,
+                                       bb.stage1, bb.stage2)
+        for net in nets.values():
+            net.eval()
+        return nets
+
+    @pytest.mark.parametrize("ceil_mode", [False, True])
+    def test_module_plan_and_interpreter_match_the_window_reduce(
+            self, ceil_mode, monkeypatch):
+        import repro.nn as nn
+        from repro.backend import (BACKEND_PRESETS, DeploymentExecutor,
+                                   ReferenceExecutor, export_module, ops)
+        from repro.nn import no_grad
+        x = np.random.default_rng(5).standard_normal((3, 3, 33, 33))
+        executors = [ReferenceExecutor()] + [
+            DeploymentExecutor(BACKEND_PRESETS[name])
+            for name in ("gpu-fp16", "dsp")]
+
+        def run_all(nets):
+            outs = {}
+            for name, net in nets.items():
+                with no_grad():
+                    outs[name, "module"] = net(Tensor(x)).data
+                graph = export_module(net, name)
+                for i, ex in enumerate(executors):
+                    outs[name, i] = ex.run(graph, x)
+                    np.testing.assert_array_equal(ex.compile(graph).run(x),
+                                                  outs[name, i])
+            return outs
+
+        nets = self._nets()
+        for net in nets.values():
+            for mod in net.modules():
+                if isinstance(mod, nn.MaxPool2d):
+                    mod.ceil_mode = ceil_mode
+        fast = run_all(nets)
+        monkeypatch.setattr(F, "max_pool2d_array", _window_reduce_max_pool)
+        monkeypatch.setattr(ops, "max_pool2d_array", _window_reduce_max_pool)
+        reduced = run_all(nets)
+        assert fast.keys() == reduced.keys()
+        for key, out in fast.items():
+            want = reduced[key]
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert out.strides == want.strides
+            uint = np.dtype(f"u{out.itemsize}")
+            np.testing.assert_array_equal(out.view(uint), want.view(uint))
+
+
 class TestPooling:
     def test_pool_output_size_floor_vs_ceil(self):
         # Paper Eq. 8: 6-wide map, k=3, s=2, p=0 -> floor 2, ceil 3
