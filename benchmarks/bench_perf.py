@@ -6,7 +6,7 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_perf.py            # full numbers
     PYTHONPATH=src python benchmarks/bench_perf.py --smoke    # CI gate
 
-Three suites:
+Suites:
 
 entropy codec
     JPEG encode+decode throughput (imgs/s) for the vectorized entropy coder
@@ -48,6 +48,14 @@ int8
     persona.  Must be bit-identical; gate is "not slower" with a 5%
     tolerance.
 
+heap
+    One resnet18x0.25 batch-64 no-grad forward, timed in two fresh child
+    interpreters: one with the heap policy (``retain_heap``: freed
+    buffers stay resident) and one on glibc's default heap.  Reports the
+    median ms and the minor page faults per forward.  Gated on identical
+    output bytes, faults under 5% of the default heap's, and >=1.2x; the
+    gates do not depend on the core count.
+
 memory
     Peak traced allocation (tracemalloc, which sees NumPy data buffers) of
     one noise row evaluated monolithically vs streamed through the shard
@@ -57,8 +65,9 @@ memory
 
 Results are appended to ``BENCH_core.json`` at the repo root so the perf
 trajectory is tracked PR over PR.  The harness pins OpenBLAS to one thread
-first, as every CLI process does; each record carries the affinity-aware
-``cores`` and the ``blas_threads`` width read back from OpenBLAS.
+and applies the heap policy first, as every CLI process does; each record
+carries the affinity-aware ``cores``, the ``blas_threads`` width read back
+from OpenBLAS, and ``heap_retained`` (what ``retain_heap()`` returned).
 ``--smoke`` shrinks the workload and exits non-zero if the vectorized
 coder fails to beat the scalar one — the CI perf gate.
 """
@@ -68,6 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
@@ -79,7 +89,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend.parallel import (available_cores, blas_threads,  # noqa: E402
-                                    pin_blas_threads)
+                                    pin_blas_threads, retain_heap)
 from repro.core import TRAIN_CONFIG, EvalCache, SweepEngine, get_task  # noqa: E402
 from repro.core.cache import DecodeCache  # noqa: E402
 from repro.core.pipeline import apply_model_noise, normalize, preprocess  # noqa: E402
@@ -191,6 +201,74 @@ def bench_shared_huffman(shard: int, repeats: int) -> dict:
         "shared_s": round(t_shared, 4),
         "speedup": round(t_sep / t_shared, 2),
         "bit_identical": identical,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Heap: freed buffers kept resident (retain_heap) vs glibc's default heap
+# ---------------------------------------------------------------------------
+
+#: argv: "1" to apply the heap policy, then the timed forward count.  Two
+#: warm-up forwards, then prints the median ms, the minor page faults per
+#: timed forward, and the last output's SHA-256.
+_HEAP_CHILD = """
+import hashlib, json, resource, statistics, sys, time
+import numpy as np
+from repro.backend.parallel import pin_blas_threads, retain_heap
+retained = sys.argv[1] == "1" and retain_heap()
+pin_blas_threads()
+from repro.models import create_model
+from repro.nn import Tensor, no_grad
+forwards = int(sys.argv[2])
+model = create_model("resnet18x0.25", num_classes=10, seed=0)
+model.eval()
+x = Tensor(np.random.default_rng(0).normal(size=(64, 3, 32, 32)))
+times = []
+with no_grad():
+    for _ in range(2):
+        model(x)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(forwards):
+        t0 = time.perf_counter()
+        out = model(x).data
+        times.append(time.perf_counter() - t0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({"retained": retained,
+                  "ms": statistics.median(times) * 1e3,
+                  "faults": faults / forwards,
+                  "sha256": hashlib.sha256(out.tobytes()).hexdigest()}))
+"""
+
+
+def bench_heap(forwards: int) -> dict:
+    """resnet18x0.25 batch-64 forwards with and without ``retain_heap``.
+
+    Each side runs in its own fresh interpreter, because the policy is
+    process-wide and this process already applied it.  Neither inherits
+    the operator's glibc malloc settings.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = {}
+    for retain in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HEAP_CHILD, retain, str(forwards)],
+            env=env, capture_output=True, text=True, check=True)
+        runs[retain] = json.loads(proc.stdout.splitlines()[-1])
+    default, retained = runs["0"], runs["1"]
+    return {
+        "model": "resnet18x0.25",
+        "batch": 64,
+        "forwards": forwards,
+        "retained": retained["retained"],
+        "default_ms": round(default["ms"], 2),
+        "retained_ms": round(retained["ms"], 2),
+        "default_faults": round(default["faults"], 1),
+        "retained_faults": round(retained["faults"], 1),
+        "speedup": round(default["ms"] / retained["ms"], 2),
+        "bit_identical": default["sha256"] == retained["sha256"],
     }
 
 
@@ -520,15 +598,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_core.json"))
     args = parser.parse_args(argv)
-    pin_blas_threads()                      # as every CLI process does
+    heap_retained = retain_heap()           # as every CLI process does
+    pin_blas_threads()
 
     if args.smoke:
+        heap_forwards = 15
         sizes, repeats, n_decode, n_sweep = [64, 128], 2, 16, 24
         inf_models, inf_batches = ["resnet18x0.25", "mcunet-293kb"], (1, 8)
         mem_images, mem_native, mem_shard = 64, 64, 8
         intra_models, intra_batch, intra_reps = ["resnet18x0.25"], 32, 3
         int8_models, int8_batch, int8_reps = ["mcunet-293kb"], 32, 5
     else:
+        heap_forwards = 25
         sizes, repeats, n_decode, n_sweep = [48, 96, 192], 3, 64, 64
         inf_models, inf_batches = INFERENCE_MODELS, (1, 8, 32)
         mem_images, mem_native, mem_shard = 128, 96, 8
@@ -554,6 +635,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{four['separate_s']*1e3:.0f}ms -> {four['shared_s']*1e3:.0f}ms "
           f"with one shared Huffman decode ({four['speedup']:.1f}x, "
           f"identical={four['bit_identical']})")
+
+    print("benchmarking the heap policy (retained vs default heap) ...")
+    heap = bench_heap(heap_forwards)
+    print(f"  {heap['model']} b{heap['batch']}: {heap['default_ms']:.1f}ms "
+          f"-> {heap['retained_ms']:.1f}ms ({heap['speedup']:.2f}x), "
+          f"{heap['default_faults']:.0f} -> {heap['retained_faults']:.0f} "
+          f"faults per forward (retained={heap['retained']}, "
+          f"identical={heap['bit_identical']})")
 
     print("benchmarking inference (interpreted vs compiled plan) ...")
     inference = bench_inference(inf_models, inf_batches, max(2, repeats))
@@ -606,8 +695,10 @@ def main(argv: list[str] | None = None) -> int:
         "mode": "smoke" if args.smoke else "full",
         "cores": available_cores(),
         "blas_threads": blas_threads(),
+        "heap_retained": heap_retained,
         "entropy_codec": entropy,
         "dataset_decode": dataset,
+        "heap": heap,
         "inference": inference,
         "intra_op": intra_op,
         "int8": int8,
@@ -651,6 +742,22 @@ def main(argv: list[str] | None = None) -> int:
     if four["speedup"] < 2.0:
         print(f"FAIL: sharing the Huffman stage across {four['personas']} "
               f"personas under 2x ({four['speedup']:.2f}x)")
+        return 1
+    if not heap["bit_identical"]:
+        print("FAIL: a forward on the retained heap differs from one on "
+              "the default heap")
+        return 1
+    if not heap["retained"]:
+        print("  (retain_heap() returned False: no glibc mallopt; heap "
+              "fault and speed gates skipped)")
+    elif heap["retained_faults"] >= 0.05 * heap["default_faults"]:
+        print(f"FAIL: the retained heap still faults "
+              f"{heap['retained_faults']:.0f} pages per forward "
+              f"(default heap {heap['default_faults']:.0f}; need < 5%)")
+        return 1
+    elif heap["speedup"] < 1.2:
+        print(f"FAIL: the retained heap gains under 1.2x on a "
+              f"{heap['model']} forward ({heap['speedup']:.2f}x)")
         return 1
     for mname, r in inference["models"].items():
         if not r["outputs_identical"]:

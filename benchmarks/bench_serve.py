@@ -44,9 +44,11 @@ drain (gate)
 
 Results are appended to ``BENCH_serve.json`` at the repo root so the
 serving-layer trajectory is tracked PR over PR.  Each record carries the
-affinity-aware ``cores`` and the ``blas_threads`` width read back from
-OpenBLAS after the harness pins it, as ``repro serve`` pins its own.  Any
-gate failure exits non-zero — this is the CI ``serve-smoke`` job.
+affinity-aware ``cores``, the ``blas_threads`` width read back from
+OpenBLAS after the harness pins it, as ``repro serve`` pins its own, and
+``heap_retained`` (what ``retain_heap()`` returned; ``repro serve`` applies
+the same heap policy).  Any gate failure exits non-zero — this is the CI
+``serve-smoke`` job.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend.parallel import (available_cores, blas_threads,  # noqa: E402
-                                    pin_blas_threads)
+                                    pin_blas_threads, retain_heap)
 
 TIMEOUT_S = 600
 
@@ -521,7 +523,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI-sized workload; gates still apply")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_serve.json"))
     args = parser.parse_args(argv)
-    pin_blas_threads()                      # as every CLI process does
+    heap_retained = retain_heap()           # as every CLI process does
+    pin_blas_threads()
 
     import tempfile
     tmp = Path(tempfile.mkdtemp(prefix="bench-serve-"))
@@ -529,7 +532,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record = {"timestamp": datetime.now(timezone.utc).isoformat(),
               "mode": "smoke" if args.smoke else "full",
-              "cores": available_cores(), "blas_threads": blas_threads()}
+              "cores": available_cores(), "blas_threads": blas_threads(),
+              "heap_retained": heap_retained}
 
     server = Server(tmp / "main")
     try:

@@ -25,6 +25,10 @@ threads, serve job threads, intra-op tiles) are the only source of
 parallelism, so every GEMM runs single-threaded inside its caller's
 thread.  :func:`pin_blas_threads` sets the loaded OpenBLAS to one thread;
 ``repro.cli.main`` and process-pool workers call it before any work.
+
+**Heap policy.**  :func:`retain_heap` keeps freed array buffers resident
+(glibc's ``mallopt``), so a forward pass reuses the pages the previous one
+freed instead of faulting fresh ones in; the same two places call it.
 Importing this module changes no process state.
 """
 
@@ -36,7 +40,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["num_threads", "parallel_map", "collect_stats", "TILE_MIN_WORK",
-           "available_cores", "pin_blas_threads", "blas_threads"]
+           "available_cores", "pin_blas_threads", "blas_threads",
+           "retain_heap"]
 
 #: Minimum estimated FLOPs before a kernel bothers with the pool; below
 #: this, submit/collect overhead beats any overlap.
@@ -147,6 +152,68 @@ def pin_blas_threads() -> int | None:
         for setter, _ in libs:
             setter(1)
     return max(get() for _, get in libs)
+
+
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values
+#: :func:`retain_heap` sets, in the order it sets them.  32 MiB is the
+#: ceiling of glibc's own dynamic mmap threshold on 64-bit; the trim
+#: threshold keeps up to 128 MiB of freed heap resident.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 128 << 20))
+
+#: glibc's own malloc thresholds, each settable as ``MALLOC_<NAME>_`` or
+#: as ``glibc.malloc.<name>`` in ``GLIBC_TUNABLES``; an operator who set
+#: any of them keeps them.
+_MALLOC_SETTINGS = ("trim_threshold", "top_pad", "mmap_threshold",
+                    "mmap_max")
+
+
+def _malloc_set_by_operator() -> bool:
+    """Whether the environment sets one of glibc's malloc thresholds."""
+    if any(os.environ.get(f"MALLOC_{name.upper()}_")
+           for name in _MALLOC_SETTINGS):
+        return True
+    tunables = {item.split("=", 1)[0]
+                for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
+    return any(f"glibc.malloc.{name}" in tunables
+               for name in _MALLOC_SETTINGS)
+
+
+def _libc():
+    """The C library's global namespace (``None`` where it cannot be
+    opened)."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def retain_heap() -> bool:
+    """Keep freed array buffers resident for the next array.
+
+    By default glibc serves each multi-MB NumPy temporary from a fresh
+    ``mmap`` and unmaps it on free, so every forward pass faults its
+    activations in page by page.  Two ``mallopt`` calls — the mmap
+    threshold to 32 MiB, then the trim threshold to 128 MiB — serve those
+    arrays from the heap and keep freed memory for reuse.  Both must be
+    set: setting either one turns glibc's dynamic threshold off, which
+    leaves the other at its 128 KiB default.
+
+    Returns whether glibc accepted both calls.  Returns ``False`` and
+    changes nothing where the C library has no ``mallopt`` or the operator
+    set a glibc malloc threshold (``MALLOC_*_`` or ``glibc.malloc.*`` in
+    ``GLIBC_TUNABLES``).  Values, shapes and strides of arrays are
+    unaffected; only where their buffers live changes.
+    """
+    if _malloc_set_by_operator():
+        return False
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # Stop at the first refusal, so one threshold is never left alone.
+    return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
 
 
 def _get_pool(width: int) -> ThreadPoolExecutor:

@@ -66,7 +66,9 @@ arguments (argparse convention).
 
 Every command pins OpenBLAS to one thread before it does any work (see
 :func:`repro.backend.parallel.pin_blas_threads`): the workers, sweep
-threads and serve job threads are the only parallelism.
+threads and serve job threads are the only parallelism.  It also keeps
+freed array buffers resident for the next array (see
+:func:`repro.backend.parallel.retain_heap`).
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code instead of raising SystemExit."""
     args = build_parser().parse_args(argv)
-    from ..backend.parallel import pin_blas_threads
+    from ..backend.parallel import pin_blas_threads, retain_heap
+    retain_heap()
     pin_blas_threads()
     return args.func(args)
 

@@ -70,7 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend.parallel import available_cores, pin_blas_threads
+from ..backend.parallel import (available_cores, pin_blas_threads,
+                                retain_heap)
 from .cache import (DecodeCache, EvalCache, dataset_token, eval_key,
                     streams_digest)
 from .faults import fault_point
@@ -1288,8 +1289,10 @@ def _process_worker_init(payload: bytes, shm_meta, shard_ctx=None) -> None:
     # GEMMs each fan out over OpenBLAS's own threads, oversubscribes the
     # host many times over.  Workers default to serial kernels and a
     # one-thread BLAS; an explicit REPRO_NUM_THREADS, OPENBLAS_NUM_THREADS
-    # or OMP_NUM_THREADS set by the operator is honoured as-is.
+    # or OMP_NUM_THREADS set by the operator is honoured as-is.  Spawned
+    # workers do not inherit the parent's heap policy, so they set it too.
     os.environ.setdefault("REPRO_NUM_THREADS", "1")
+    retain_heap()
     pin_blas_threads()
     evaluate, model, ds = pickle.loads(payload)
     _WORKER.update(evaluate=evaluate, model=model, ds=ds,

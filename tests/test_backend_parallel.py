@@ -7,7 +7,8 @@ exact computations the serial path performs and results are combined in
 submission order.  These tests pin the contract across the zoo, the
 ``parallel_map`` semantics it rests on, the bounded ``prepare_cached``
 executor cache, the ``profile --compiled`` intra-op report, and the
-one-thread OpenBLAS pin every CLI process and pool worker applies.
+one-thread OpenBLAS pin and the heap policy every CLI process and pool
+worker applies.
 """
 
 import gc
@@ -15,6 +16,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,8 @@ from repro.models import create_model
 RNG = np.random.default_rng(11)
 SRC = Path(repro.__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+HEAP_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+            "MALLOC_MMAP_THRESHOLD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
 
 
 def graph_for(name: str):
@@ -145,8 +149,10 @@ needs_openblas = pytest.mark.skipif(
 
 
 def child_env(**extra) -> dict:
-    """This process's environment minus the BLAS width variables."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    """This process's environment minus the BLAS width and glibc malloc
+    variables."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_ENV + HEAP_ENV}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(extra)
@@ -220,6 +226,123 @@ class TestBlasPin:
         assert parallel.blas_threads() is None
         monkeypatch.undo()
         assert parallel.blas_threads() == before
+
+
+# ---------------------------------------------------------------------------
+# The heap policy
+# ---------------------------------------------------------------------------
+
+FORWARDS = 5
+
+#: Appended to a setup line: one warm-up resnet18x0.25 batch-64 no-grad
+#: forward, then prints the minor page faults the next FORWARDS took.
+_FAULT_CHILD = f"""
+import resource
+import numpy as np
+from repro.models import create_model
+from repro.nn import Tensor, no_grad
+model = create_model("resnet18x0.25", num_classes=10, seed=0)
+model.eval()
+x = Tensor(np.random.default_rng(0).normal(size=(64, 3, 32, 32)))
+with no_grad():
+    model(x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range({FORWARDS}):
+        model(x)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def faults_after(code: str) -> int:
+    """Run ``code`` in a fresh interpreter, then FORWARDS forwards; their
+    minor page faults."""
+    proc = subprocess.run([sys.executable, "-c", code + _FAULT_CHILD],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.fixture(scope="module")
+def default_heap_faults() -> int:
+    """Faults of the five forwards after a bare ``import repro.cli`` (the
+    glibc default heap); at least 1000 per forward, so a low count after
+    the policy cannot be vacuous."""
+    faults = faults_after("import repro.cli")
+    assert faults >= 1000 * FORWARDS, faults
+    return faults
+
+
+class _MalloptSpy:
+    """Stands in for the ``ctypes`` ``mallopt``; records every call."""
+
+    def __init__(self, result: int = 1):
+        self.result = result
+        self.calls: list[tuple[int, int]] = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+@pytest.fixture
+def mallopt_spy(monkeypatch):
+    """A libc whose ``mallopt`` is a spy, with no malloc env set."""
+    for var in HEAP_ENV:
+        monkeypatch.delenv(var, raising=False)
+    spy = _MalloptSpy()
+    monkeypatch.setattr(parallel, "_libc",
+                        lambda: types.SimpleNamespace(mallopt=spy))
+    return spy
+
+
+class TestHeapPolicy:
+    def test_cli_main_keeps_freed_buffers_resident(self,
+                                                   default_heap_faults):
+        code = "import repro.cli\nrepro.cli.main(['tasks'])"
+        assert faults_after(code) < 0.05 * default_heap_faults
+
+    def test_process_worker_init_keeps_freed_buffers_resident(
+            self, default_heap_faults):
+        code = ("import pickle\nfrom repro.core import sweep\n"
+                "sweep._process_worker_init(pickle.dumps((None, None, "
+                "None)), None)")
+        assert faults_after(code) < 0.05 * default_heap_faults
+
+    def test_sets_both_thresholds_mmap_first(self, mallopt_spy):
+        assert parallel.retain_heap() is True
+        assert mallopt_spy.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    def test_a_refused_threshold_stops_before_the_other(self, mallopt_spy):
+        mallopt_spy.result = 0
+        assert parallel.retain_heap() is False
+        assert mallopt_spy.calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("var, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "1048576"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_MAX_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1048576"),
+        ("GLIBC_TUNABLES",
+         "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=131072"),
+    ])
+    def test_operator_setting_is_honoured(self, mallopt_spy, monkeypatch,
+                                          var, value):
+        monkeypatch.setenv(var, value)
+        assert parallel.retain_heap() is False
+        assert mallopt_spy.calls == []
+
+    def test_unrelated_tunables_do_not_count(self, mallopt_spy, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
+        assert parallel.retain_heap() is True
+
+    @pytest.mark.parametrize("libc", [None, object()])
+    def test_libc_without_mallopt_is_a_noop(self, monkeypatch, libc):
+        for var in HEAP_ENV:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(parallel, "_libc", lambda: libc)
+        assert parallel.retain_heap() is False
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,16 @@ class TestTrainingDeterminism:
 
 
 #: Hashes every zoo model's no-grad forward at batch 1, 8 and 64, then the
-#: weights after a 2-epoch resnet18x0.25 run; prints the BLAS width it ran at.
+#: weights after a 2-epoch resnet18x0.25 run; prints the BLAS width it ran at
+#: and whether the heap policy is on (``--retain-heap`` asks for it).
 _BLAS_CHILD = """
-import hashlib, json
+import hashlib, json, sys
 import numpy as np
-from repro.backend.parallel import blas_threads, pin_blas_threads
+from repro.backend.parallel import blas_threads, pin_blas_threads, retain_heap
 from repro.models import create_model, model_names
 from repro.nn import Tensor, TrainConfig, no_grad, train_classifier
 
+heap_retained = "--retain-heap" in sys.argv[1:] and retain_heap()
 pin_blas_threads()
 rng = np.random.default_rng(0)
 x = rng.normal(size=(64, 3, 32, 32))
@@ -113,6 +115,7 @@ model = train_classifier(create_model("resnet18x0.25", num_classes=10),
 for key, value in sorted(model.state_dict().items()):
     digest.update(key.encode() + np.ascontiguousarray(value).tobytes())
 print(json.dumps({"blas_threads": blas_threads(),
+                  "heap_retained": heap_retained,
                   "digest": digest.hexdigest()}))
 """
 
@@ -141,3 +144,28 @@ def test_blas_width_is_not_a_noise_source():
     assert reports[1]["blas_threads"] == 1
     assert reports[2]["blas_threads"] == 2
     assert reports[1]["digest"] == reports[2]["digest"]
+
+
+def test_heap_policy_is_not_a_noise_source():
+    """The same bits with freed buffers kept resident (``retain_heap``) and
+    with glibc's default heap."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    # An operator's glibc malloc settings would switch the policy off.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    children = {retain: subprocess.Popen(
+        [sys.executable, "-c", _BLAS_CHILD, *flags], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for retain, flags in ((False, ()), (True, ("--retain-heap",)))}
+    reports = {}
+    for retain, proc in children.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        reports[retain] = json.loads(out.splitlines()[-1])
+    if not reports[True]["heap_retained"]:
+        pytest.skip("retain_heap() returned False: no glibc mallopt")
+    assert reports[False]["heap_retained"] is False
+    assert reports[True]["blas_threads"] == reports[False]["blas_threads"]
+    assert reports[True]["digest"] == reports[False]["digest"]
