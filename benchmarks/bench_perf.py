@@ -20,6 +20,13 @@ dataset decode
     and shared through a ``DecodeCache`` (as a fleet's shard pass does) and
     without; it is gated on identical bytes and a >=2x speedup.
 
+synth
+    Dataset synthesis: the 320 images of ``make_classification_dataset(320)``
+    (48 px, q90) encoded by a per-image ``encode`` loop and by one
+    ``encode_batch`` call (interleaved min-of-N), plus the time of the
+    factory itself.  Gated on identical payloads and a >=2x speedup; the
+    gate does not depend on the core count.
+
 sweep
     Wall time of one full classification ``noise_row`` (decoder / resize /
     color / precision + combined) through the new ``SweepEngine`` with
@@ -200,6 +207,35 @@ def bench_shared_huffman(shard: int, repeats: int) -> dict:
         "separate_s": round(t_sep, 4),
         "shared_s": round(t_shared, 4),
         "speedup": round(t_sep / t_shared, 2),
+        "bit_identical": identical,
+    }
+
+
+def bench_synth(repeats: int) -> dict:
+    """Encode of one synthetic dataset's images: per image vs per batch."""
+    ds = make_classification_dataset(n=320, native_size=48, quality=90,
+                                     seed=0)
+    images = ds.images
+
+    def per_image():
+        return [jpeg.encode(img, 90) for img in images]
+
+    def batched():
+        return jpeg.encode_batch(images, 90)
+
+    want = [s.tobytes() for s in ds.streams]
+    identical = ([s.tobytes() for s in per_image()] == want
+                 and [s.tobytes() for s in batched()] == want)
+    t_loop, t_batch = _bench_interleaved(per_image, batched, repeats)
+    t_dataset = _bench(lambda: make_classification_dataset(
+        n=320, native_size=48, quality=90, seed=0), repeats)
+    return {
+        "images": len(images),
+        "size": 48,
+        "per_image_s": round(t_loop, 4),
+        "batch_s": round(t_batch, 4),
+        "speedup": round(t_loop / t_batch, 2),
+        "dataset_s": round(t_dataset, 4),
         "bit_identical": identical,
     }
 
@@ -604,6 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         heap_forwards = 15
         sizes, repeats, n_decode, n_sweep = [64, 128], 2, 16, 24
+        synth_reps = 3
         inf_models, inf_batches = ["resnet18x0.25", "mcunet-293kb"], (1, 8)
         mem_images, mem_native, mem_shard = 64, 64, 8
         intra_models, intra_batch, intra_reps = ["resnet18x0.25"], 32, 3
@@ -611,6 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         heap_forwards = 25
         sizes, repeats, n_decode, n_sweep = [48, 96, 192], 3, 64, 64
+        synth_reps = 5
         inf_models, inf_batches = INFERENCE_MODELS, (1, 8, 32)
         mem_images, mem_native, mem_shard = 128, 96, 8
         intra_models, intra_batch, intra_reps = (
@@ -635,6 +673,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{four['separate_s']*1e3:.0f}ms -> {four['shared_s']*1e3:.0f}ms "
           f"with one shared Huffman decode ({four['speedup']:.1f}x, "
           f"identical={four['bit_identical']})")
+
+    print("benchmarking dataset synthesis (per-image vs batched encode) ...")
+    synth = bench_synth(synth_reps)
+    print(f"  {synth['images']} imgs @{synth['size']}px q90: encode "
+          f"{synth['per_image_s']*1e3:.0f}ms -> {synth['batch_s']*1e3:.0f}ms "
+          f"({synth['speedup']:.1f}x, identical={synth['bit_identical']}); "
+          f"make_classification_dataset({synth['images']}) "
+          f"{synth['dataset_s']*1e3:.0f}ms")
 
     print("benchmarking the heap policy (retained vs default heap) ...")
     heap = bench_heap(heap_forwards)
@@ -698,6 +744,7 @@ def main(argv: list[str] | None = None) -> int:
         "heap_retained": heap_retained,
         "entropy_codec": entropy,
         "dataset_decode": dataset,
+        "synth": synth,
         "heap": heap,
         "inference": inference,
         "intra_op": intra_op,
@@ -758,6 +805,13 @@ def main(argv: list[str] | None = None) -> int:
     elif heap["speedup"] < 1.2:
         print(f"FAIL: the retained heap gains under 1.2x on a "
               f"{heap['model']} forward ({heap['speedup']:.2f}x)")
+        return 1
+    if not synth["bit_identical"]:
+        print("FAIL: encode_batch payloads differ from per-image encodes")
+        return 1
+    if synth["speedup"] < 2.0:
+        print(f"FAIL: encode_batch gains under 2x over a per-image encode "
+              f"loop on {synth['images']} images ({synth['speedup']:.2f}x)")
         return 1
     for mname, r in inference["models"].items():
         if not r["outputs_identical"]:

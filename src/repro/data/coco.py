@@ -67,7 +67,8 @@ def render_scene(size: int, rng: np.random.Generator,
     return img, np.array(gts, dtype=np.float64).reshape(-1, 5)
 
 
-@dataclass
+# Hashed by identity, so repro.core.cache memoises its stream digest.
+@dataclass(eq=False)
 class DetectionDataset:
     """Encoded detection scenes with ground-truth boxes.
 
@@ -115,5 +116,5 @@ def make_detection_dataset(n: int = 120, size: int = 64, quality: int = 90,
             gt[:, 1:] *= scale
         gts.append(gt)
     images = np.stack(images)
-    streams = [jpeg.encode(img, quality=quality) for img in images]
+    streams = jpeg.encode_batch(images, quality=quality)
     return DetectionDataset(streams, images, gts, size, native)

@@ -101,7 +101,8 @@ def render_class_image(label: int, size: int, rng: np.random.Generator) -> np.nd
     return np.clip(canvas, 0, 255).astype(np.uint8)
 
 
-@dataclass
+# Hashed by identity, so repro.core.cache memoises its stream digest.
+@dataclass(eq=False)
 class ClassificationDataset:
     """Encoded synthetic classification data.
 
@@ -149,6 +150,6 @@ def make_classification_dataset(n: int = 400, native_size: int = 48,
     rng.shuffle(labels)
     images = np.stack([render_class_image(int(y), native_size, rng)
                        for y in labels])
-    streams = [jpeg.encode(img, quality=quality) for img in images]
+    streams = jpeg.encode_batch(images, quality=quality)
     return ClassificationDataset(streams, images, labels, native_size,
                                  input_size, num_classes)

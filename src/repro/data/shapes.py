@@ -84,6 +84,31 @@ def checkerboard(h: int, w: int, cell: float, phase: float = 0.0) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(4.0 * a * b)
 
 
+def _convolve_rows_same(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``np.convolve(row, k, "same")`` of every row of ``x``, bit for bit.
+
+    ``k`` has 3 taps and every row at least 3 samples.  ``np.convolve``
+    computes a row's interior with NumPy's small-kernel loop, which does not
+    fuse multiply and add, but its two end outputs with the BLAS dot
+    product, which may be FMA-contracted.  Plain slice arithmetic therefore
+    misses some end outputs by an ulp.  So the interior comes from one
+    ``np.convolve(..., "valid")`` over the concatenated rows (dropping the
+    outputs that straddle two rows), and each end column from ``np.vecdot``
+    (NumPy >= 2.0) over its two samples, which goes through the same BLAS
+    dot.  ``x`` is made C-contiguous first, so that its rows concatenate
+    and each end pair is unit-stride, as ``np.convolve`` passes it.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    h, w = x.shape
+    c = np.ascontiguousarray(k[::-1], dtype=np.float64)   # correlation taps
+    out = np.empty(h * w)
+    out[1:-1] = np.convolve(x.ravel(), k, "valid")
+    out = out.reshape(h, w)
+    out[:, 0] = np.vecdot(x[:, :2], c[1:])
+    out[:, -1] = np.vecdot(x[:, -2:], c[:2])
+    return out
+
+
 def blob(h: int, w: int, rng: np.random.Generator, smoothness: int = 4) -> np.ndarray:
     """Smooth random field in [0, 1] (low-frequency noise texture)."""
     coarse = rng.random((smoothness, smoothness))
@@ -91,8 +116,8 @@ def blob(h: int, w: int, rng: np.random.Generator, smoothness: int = 4) -> np.nd
     up = np.kron(coarse, np.ones(reps))[:h, :w]
     # Light smoothing via two box passes.
     k = np.ones(3) / 3
-    up = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 1, up)
-    up = np.apply_along_axis(lambda c: np.convolve(c, k, mode="same"), 0, up)
+    up = _convolve_rows_same(up, k)
+    up = _convolve_rows_same(up.T, k).T
     lo, hi = up.min(), up.max()
     return (up - lo) / max(hi - lo, 1e-9)
 

@@ -12,8 +12,8 @@ from .dct import (IDCT_VARIANTS, dct2, dct_matrix, idct_chen, idct_integer,
                   idct_reference, idct_rowcol_f32)
 from .jpeg import (DECODER_LIBRARIES, ENTROPY_CODERS, JpegBitstream, decode,
                    decode_batch, decode_with, default_entropy, encode,
-                   iter_decode_batches, quality_tables, set_default_entropy,
-                   zigzag_order)
+                   encode_batch, iter_decode_batches, quality_tables,
+                   set_default_entropy, zigzag_order)
 from .learned_codec import LearnedCodec
 from .resize import (OPENCV_METHODS, PILLOW_METHODS, RESIZE_METHODS,
                      iter_resize_batches, resize, resize_batch, resize_matrix)
@@ -21,7 +21,8 @@ from .resize import (OPENCV_METHODS, PILLOW_METHODS, RESIZE_METHODS,
 __all__ = [
     "dct_matrix", "dct2", "idct_reference", "idct_chen", "idct_integer",
     "idct_rowcol_f32", "IDCT_VARIANTS",
-    "encode", "decode", "decode_batch", "decode_with", "iter_decode_batches",
+    "encode", "encode_batch", "decode", "decode_batch", "decode_with",
+    "iter_decode_batches",
     "DECODER_LIBRARIES", "JpegBitstream",
     "quality_tables", "zigzag_order", "ENTROPY_CODERS", "default_entropy",
     "set_default_entropy",

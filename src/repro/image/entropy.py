@@ -7,12 +7,14 @@ the fast path the codec uses by default:
 
 encode
     Zig-zag, DC DPCM, magnitude categories, zero-run splitting and ZRL/EOB
-    insertion all run as whole-batch NumPy array programs.  Each Huffman
-    symbol / appended-magnitude pair becomes one ``(codeword, bitlength)``
-    chunk; every chunk's position in the stream is computed directly from
-    segmented (per-block) offset cumsums — no sort — and the chunks are
-    packed into bytes with one vectorized bit-expansion + ``np.packbits``
-    pass.
+    insertion all run as NumPy array programs over every block of every
+    image in a batch.  Each Huffman symbol / appended-magnitude pair becomes
+    one ``(codeword, bitlength)`` chunk; every chunk's position in the
+    stream is computed directly from segmented (per-block) offset cumsums —
+    no sort.  Each image's chunks then start at a byte boundary, and are
+    packed by byte lanes: a chunk of at most 16 bits touches at most 3
+    bytes, and one ``np.bincount`` per lane adds those bytes into the
+    buffer (the chunks' bits are disjoint, so the sums are ORs).
 
 decode
     Huffman streams are sequential by construction, so the fast path makes
@@ -85,13 +87,15 @@ def _enc_stacked(kind: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plane_chunks(zz: np.ndarray, table_ids: np.ndarray,
-                  comp_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codewords, bit lengths) of the full symbol stream, in stream order.
+                  comp_starts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codewords, bit lengths) of the full symbol stream, in stream order,
+    and the index of each block's first chunk.
 
     ``zz`` holds *every* component's zig-zagged blocks concatenated
     (components are contiguous, starting at ``comp_starts``), ``table_ids``
     names each block's Huffman table pair — one fused pass entropy-codes all
-    three planes.
+    three planes of every image.
     """
     dc_codes, dc_lens = _enc_stacked("dc")
     ac_codes, ac_lens = _enc_stacked("ac")
@@ -169,35 +173,58 @@ def _plane_chunks(zz: np.ndarray, table_ids: np.ndarray,
     eob_slot = (base + per_block - 1)[eob_blocks]
     codes[eob_slot] = ac_codes[table_ids[eob_blocks], 0x00]
     lengths[eob_slot] = ac_lens[table_ids[eob_blocks], 0x00]
-    return codes, lengths
+    return codes, lengths, base
 
 
-def encode_planes(quantised_planes: list[tuple[np.ndarray, int]],
-                  zigzag: np.ndarray) -> bytes:
-    """Entropy-code ``[(blocks, table), ...]`` into one packed payload.
+def encode_planes(blocks: np.ndarray, components: list[tuple[int, int]],
+                  zigzag: np.ndarray) -> list[bytes]:
+    """Entropy-code ``N`` images' quantised blocks into ``N`` payloads.
 
-    Bit-exact with writing each component through the scalar ``_BitWriter``
-    (including the trailing 1-bit padding).
+    ``blocks`` is ``(N, B, 8, 8)``, N >= 1: each image's blocks in stream order,
+    component after component; ``components`` lists each component's
+    ``(block count, Huffman table)``.  Every payload is bit-exact with
+    writing its image's components through the scalar ``_BitWriter``,
+    including the trailing 1-bit padding.
     """
-    flats = [blocks.reshape(-1, 64) for blocks, _ in quantised_planes]
-    counts = [len(f) for f in flats]
-    zz = np.concatenate(flats)[:, zigzag].astype(np.int64)
-    table_ids = np.repeat([table for _, table in quantised_planes], counts)
-    comp_starts = np.cumsum([0] + counts[:-1])
-    codes, lengths = _plane_chunks(zz, table_ids, comp_starts)
+    n, per_image = blocks.shape[:2]
+    counts = [count for count, _ in components]
+    table_ids = np.tile(np.repeat([table for _, table in components], counts),
+                        n)
+    # The DC prediction restarts at every component of every image.
+    comp_starts = (np.arange(n)[:, None] * per_image
+                   + np.cumsum([0] + counts[:-1])).ravel()
+    codes, lengths, block_first = _plane_chunks(
+        blocks.reshape(-1, 64)[:, zigzag].astype(np.int64), table_ids,
+        comp_starts)
 
-    total = int(lengths.sum())
-    if total == 0:
-        return b""
+    # Bit offsets of every chunk in the unpadded concatenation, then per
+    # image: where it starts, how many bits it holds, and its padded bytes.
     starts = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(codes)), lengths)
-    within = np.arange(total) - np.repeat(starts, lengths)
-    shift = lengths[owner] - 1 - within
-    bits = ((codes[owner] >> shift) & 1).astype(np.uint8)
-    pad = (-total) % 8
-    if pad:
-        bits = np.concatenate([bits, np.ones(pad, dtype=np.uint8)])
-    return np.packbits(bits).tobytes()
+    image_first = block_first[::per_image]
+    image_start = starts[image_first]
+    image_bits = np.diff(image_start, append=int(lengths.sum()))
+    image_bytes = (image_bits + 7) >> 3
+    byte_end = np.cumsum(image_bytes)
+    byte_start = byte_end - image_bytes
+
+    # Move each image to a byte boundary.  A chunk is at most 16 bits, so it
+    # lands in the 3 bytes from its first one: left-align it in a 24-bit
+    # window there and add each of the window's bytes into the buffer.  No
+    # two chunks share a bit, so the sums are ORs.
+    starts += np.repeat(8 * byte_start - image_start,
+                        np.diff(image_first, append=len(codes)))
+    window = codes << (24 - (starts & 7) - lengths)
+    first_byte = starts >> 3
+    n_bytes = int(byte_end[-1])
+    packed = np.zeros(n_bytes + 2)
+    for lane in range(3):
+        packed[lane:lane + n_bytes] += np.bincount(
+            first_byte, weights=(window >> (16 - 8 * lane)) & 0xFF,
+            minlength=n_bytes)
+    # Each payload's pad bits are 1s at the end of its own last byte.
+    packed[byte_end - 1] += (1 << (8 * image_bytes - image_bits)) - 1
+    buf = packed[:n_bytes].astype(np.uint8).tobytes()
+    return [buf[a:b] for a, b in zip(byte_start.tolist(), byte_end.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.data import (CLASS_NAMES, NUM_CLASSES, make_classification_dataset,
                         make_detection_dataset, make_nlp_suite,
                         make_segmentation_dataset, make_tts_dataset,
                         render_class_image, synthesize_utterance)
+from repro.core import cache
 from repro.data import shapes
 from repro.image import decode
 
@@ -45,6 +46,81 @@ class TestShapes:
         mask = np.ones((4, 4))
         out = shapes.paste(canvas, mask, np.array([10.0, 20.0, 30.0]))
         np.testing.assert_array_equal(out[0, 0], [10, 20, 30])
+
+
+def _reference_blob(h, w, rng, smoothness=4):
+    """``shapes.blob`` as it was: two ``apply_along_axis(np.convolve)`` passes."""
+    coarse = rng.random((smoothness, smoothness))
+    reps = (int(np.ceil(h / smoothness)), int(np.ceil(w / smoothness)))
+    up = np.kron(coarse, np.ones(reps))[:h, :w]
+    k = np.ones(3) / 3
+    up = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 1, up)
+    up = np.apply_along_axis(lambda c: np.convolve(c, k, mode="same"), 0, up)
+    lo, hi = up.min(), up.max()
+    return (up - lo) / max(hi - lo, 1e-9)
+
+
+BLOB_SIDES = [3, 5, 9, 13, 17, 37, 48, 64, 80, 97]
+
+
+class TestBlobSmoothing:
+    @pytest.mark.parametrize("h", BLOB_SIDES)
+    def test_blob_bits_match_per_row_reference(self, h):
+        for w in BLOB_SIDES:
+            for smoothness in range(2, 7):
+                for seed in range(20):
+                    ref = _reference_blob(h, w, np.random.default_rng(seed),
+                                          smoothness)
+                    got = shapes.blob(h, w, np.random.default_rng(seed),
+                                      smoothness)
+                    assert got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes(), (h, w, smoothness,
+                                                            seed)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("kernel", ["box", "random"])
+    def test_rows_match_np_convolve_same(self, kernel, transposed):
+        """Equal to ``np.convolve(row, k, "same")`` per row, bit for bit.
+
+        ``np.convolve`` computes each row's two end outputs with the BLAS
+        dot product, which may fuse multiply and add, and its interior
+        without fusing, so slice arithmetic misses end outputs by an ulp;
+        the helper uses the same two kernels.  Magnitudes span 1e-3..1e3.
+        """
+        rng = np.random.default_rng(1 + transposed)
+        for _ in range(300):
+            h, w = int(rng.integers(1, 60)), int(rng.integers(3, 60))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            if transposed:
+                x = (rng.normal(size=(w, h)) * scale).T
+            else:
+                x = rng.normal(size=(h, w)) * scale
+            k = np.ones(3) / 3 if kernel == "box" else rng.normal(size=3)
+            ref = np.stack([np.convolve(row, k, "same") for row in x])
+            got = shapes._convolve_rows_same(x, k)
+            assert got.tobytes() == ref.tobytes(), (h, w)
+
+
+class TestDatasetDigestMemo:
+    @pytest.mark.parametrize("make", [
+        lambda: make_classification_dataset(n=6, native_size=16, seed=0),
+        lambda: make_detection_dataset(n=3, size=32, seed=0),
+        lambda: make_segmentation_dataset(n=3, size=32, seed=0),
+    ], ids=["classification", "detection", "segmentation"])
+    def test_stream_digest_computed_once_per_dataset(self, make,
+                                                     monkeypatch):
+        ds = make()
+        digest = cache.streams_digest
+        calls = []
+
+        def counting(streams):
+            calls.append(len(streams))
+            return digest(streams)
+
+        monkeypatch.setattr(cache, "streams_digest", counting)
+        tokens = {cache.dataset_token(ds) for _ in range(5)}
+        assert tokens == {digest(ds.streams)}
+        assert len(calls) == 1
 
 
 class TestClassificationDataset:

@@ -1,13 +1,17 @@
 """Tests for the JPEG codec and its four decoder personas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import make_classification_dataset
 from repro.image import jpeg
+from repro.image.dct import dct2
 from repro.image.jpeg import (DECODER_LIBRARIES, JpegBitstream, decode,
-                              decode_batch, decode_with, encode,
+                              decode_batch, decode_with, encode, encode_batch,
                               entropy_decode, quality_tables, same_geometry,
                               zigzag_order)
 
@@ -241,3 +245,118 @@ class TestSharedHuffmanStage:
             decode_batch(streams[:2], coefficients=coefficients)
         with pytest.raises(ValueError):
             entropy_decode([])
+
+
+_JFIF_YCC = np.array([[0.299, 0.587, 0.114],
+                      [-0.168736, -0.331264, 0.5],
+                      [0.5, -0.418688, -0.081312]])
+
+
+def reference_encode(rgb, quality, subsample):
+    """The per-image encoder ``encode_batch`` replaced: (payload, n_blocks).
+
+    Colour conversion, 4:2:0 subsampling, blocking, DCT and quantisation of
+    one image, plane by plane, then the scalar ``_BitWriter`` coder.
+    """
+    h, w = rgb.shape[:2]
+    ycc = rgb.astype(np.float64).reshape(-1, 3) @ _JFIF_YCC.T
+    ycc = ycc.reshape(rgb.shape)
+    ycc[..., 1:] += 128.0
+    planes = [ycc[..., 0], ycc[..., 1], ycc[..., 2]]
+    if subsample:
+        for i in (1, 2):
+            p = np.pad(planes[i], ((0, h % 2), (0, w % 2)), mode="edge")
+            planes[i] = 0.25 * (p[0::2, 0::2] + p[0::2, 1::2]
+                                + p[1::2, 0::2] + p[1::2, 1::2])
+    luma_q, chroma_q = quality_tables(quality)
+    writer, grids = jpeg._BitWriter(), []
+    for i, plane in enumerate(planes):
+        ph, pw = (-plane.shape[0]) % 8, (-plane.shape[1]) % 8
+        padded = np.pad(plane - 128.0, ((0, ph), (0, pw)), mode="edge")
+        hb, wb = padded.shape[0] // 8, padded.shape[1] // 8
+        grids.append((hb, wb))
+        blocks = (padded.reshape(hb, 8, wb, 8).transpose(0, 2, 1, 3)
+                  .reshape(-1, 8, 8))
+        qtable = luma_q if i == 0 else chroma_q
+        quantised = np.round(dct2(blocks) / qtable).astype(np.int32)
+        jpeg._encode_component(writer, quantised, 0 if i == 0 else 1)
+    return writer.tobytes(), grids[0] + grids[1]
+
+
+def flat_and_noise(n, h, w, seed=0):
+    """Flat images (EOB-only blocks) alternating with uniform noise (long
+    zero runs at low quality, large magnitudes at high quality)."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, (n, h, w, 3), dtype=np.uint8)
+    images[::2] = rng.integers(0, 256, (len(images[::2]), 1, 1, 3))
+    return images
+
+
+def headers_and_payloads(streams):
+    return [(s.height, s.width, s.quality, s.subsample, s.n_blocks, s.payload)
+            for s in streams]
+
+
+def expected_streams(images, quality, subsample):
+    h, w = images.shape[1:3]
+    streams = []
+    for img in images:
+        payload, n_blocks = reference_encode(img, quality, subsample)
+        streams.append((h, w, quality, subsample, n_blocks, payload))
+    return streams
+
+
+class TestEncodeBatch:
+    """``encode_batch`` gives each image the bitstream the per-image encoder
+    gave it, through both entropy coders."""
+
+    @pytest.mark.parametrize("subsample", [True, False])
+    @pytest.mark.parametrize("quality", [1, 50, 90, 100])
+    @pytest.mark.parametrize("size", [(1, 1), (8, 8), (9, 17), (47, 45),
+                                      (80, 80)])
+    def test_matches_per_image_reference(self, size, quality, subsample):
+        images = flat_and_noise(4, *size, seed=quality)
+        want = expected_streams(images, quality, subsample)
+        for entropy in ("scalar", "vector"):
+            got = encode_batch(images, quality, subsample, entropy)
+            assert headers_and_payloads(got) == want, entropy
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    def test_chunk_boundaries(self, n):
+        for size in ((9, 17), (47, 45)):
+            images = flat_and_noise(n, *size, seed=n)
+            want = expected_streams(images, 90, True)
+            for entropy in ("scalar", "vector"):
+                got = encode_batch(images, 90, True, entropy)
+                assert headers_and_payloads(got) == want, (size, entropy)
+
+    def test_encode_is_a_batch_of_one(self):
+        img = smooth_image(19, 27)
+        for entropy in ("scalar", "vector"):
+            assert (encode(img, 75, entropy=entropy)
+                    == encode_batch(img[None], 75, entropy=entropy)[0])
+
+    def test_empty_batch_gives_no_streams(self):
+        assert encode_batch(np.zeros((0, 8, 8, 3), dtype=np.uint8)) == []
+
+    def test_rejects_what_is_not_a_uint8_rgb_batch(self):
+        with pytest.raises(ValueError):
+            encode_batch(smooth_image(8, 8))
+        with pytest.raises(ValueError):
+            encode_batch(np.zeros((2, 8, 8), dtype=np.uint8))
+        with pytest.raises(TypeError):
+            encode_batch(np.zeros((2, 8, 8, 3)))
+
+    def test_peak_memory_is_one_chunk_not_the_batch(self):
+        images = make_classification_dataset(n=320, seed=0).images
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                encode_batch(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(images[:32])
+        assert peak(images) < 2 * one_chunk
