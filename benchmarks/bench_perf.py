@@ -42,19 +42,6 @@ inference
     one model per zoo family.  Outputs must be bit-identical; the smoke
     gate also fails if the compiled plan is slower than the interpreter.
 
-intra_op
-    Threaded vs serial execution of the *same* compiled plan (the intra-op
-    GEMM tiling pool, ``REPRO_NUM_THREADS``).  Bit-parity is always
-    gated; the >=1.5x speed gate applies only where more than one core is
-    actually available.  Interleaved min-of-N timing (shared hosts flap
-    CPU frequency).
-
-int8
-    The integer-lowered int8 graph (``lower_integer``) vs the QDQ
-    fake-quant graph it was derived from, both compiled on the dsp
-    persona.  Must be bit-identical; gate is "not slower" with a 5%
-    tolerance.
-
 heap
     One resnet18x0.25 batch-64 no-grad forward, timed in two fresh child
     interpreters: one with the heap policy (``retain_heap``: freed
@@ -118,6 +105,26 @@ def _bench(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _bench_interleaved(fa, fb, repeats: int) -> tuple[float, float]:
+    """Interleaved min-of-N of two rivals.
+
+    Shared hosts flap their CPU frequency on multi-second scales; timing A's
+    repeats back-to-back and then B's hands whichever ran second a different
+    machine.  Alternating A/B inside one loop and keeping the per-rival
+    minimum makes the comparison frequency-noise robust.
+    """
+    fa(), fb()                                    # warm caches
+    ta = tb = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fa()
+        ta = min(ta, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        fb()
+        tb = min(tb, time.perf_counter() - t0)
+    return ta, tb
 
 
 def _test_image(size: int, seed: int = 0) -> np.ndarray:
@@ -358,131 +365,6 @@ def bench_inference(models: list[str], batches: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# Intra-op parallelism: threaded GEMM tiling vs serial, same compiled plan
-# ---------------------------------------------------------------------------
-
-def _bench_interleaved(fa, fb, repeats: int) -> tuple[float, float]:
-    """Interleaved min-of-N of two rivals.
-
-    Shared hosts flap their CPU frequency on multi-second scales; timing A's
-    repeats back-to-back and then B's hands whichever ran second a different
-    machine.  Alternating A/B inside one loop and keeping the per-rival
-    minimum makes the comparison frequency-noise robust.
-    """
-    fa(), fb()                                    # warm caches / pools
-    ta = tb = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fa()
-        ta = min(ta, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fb()
-        tb = min(tb, time.perf_counter() - t0)
-    return ta, tb
-
-
-def bench_intra_op(models: list[str], batch: int, repeats: int) -> dict:
-    """Threaded vs serial compiled-plan inference on the same plan.
-
-    The intra-op pool tiles heavy GEMM-backed kernels (conv im2col stacks,
-    attention/linear slabs) over ``REPRO_NUM_THREADS`` workers; the
-    determinism contract says any width is bit-identical to serial.  This
-    suite measures the win and *always* checks the contract — the speed
-    gate only applies where >1 core is actually available.
-    """
-    from repro.backend import ReferenceExecutor, export_module, parallel
-
-    threads = max(2, parallel.available_cores())
-    gateable = parallel.available_cores() > 1
-    rng = np.random.default_rng(0)
-    out: dict = {"batch": batch, "threads": threads,
-                 "cores_available": parallel.available_cores(),
-                 "speed_gated": gateable, "models": {}}
-    previous = os.environ.get("REPRO_NUM_THREADS")
-
-    def with_threads(n, fn):
-        os.environ["REPRO_NUM_THREADS"] = str(n)
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_NUM_THREADS", None)
-            else:
-                os.environ["REPRO_NUM_THREADS"] = previous
-
-    try:
-        for name in models:
-            model = create_model(name, num_classes=10, seed=0)
-            graph = export_module(model, name)
-            plan = ReferenceExecutor().compile(graph)
-            x = rng.normal(size=(batch, 3, 32, 32))
-            y_serial = with_threads(1, lambda: plan.run(x))
-            sink: list = []
-            with parallel.collect_stats(sink):
-                y_threaded = with_threads(threads, lambda: plan.run(x))
-            t_serial, t_threaded = _bench_interleaved(
-                lambda: with_threads(1, lambda: plan.run(x)),
-                lambda: with_threads(threads, lambda: plan.run(x)),
-                repeats)
-            out["models"][name] = {
-                "serial_s": round(t_serial, 4),
-                "threaded_s": round(t_threaded, 4),
-                "speedup": round(t_serial / t_threaded, 2),
-                "tiled_calls": sum(1 for r in sink if r["workers"] > 1),
-                "bit_identical": bool(np.array_equal(y_serial, y_threaded)),
-            }
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NUM_THREADS", None)
-        else:
-            os.environ["REPRO_NUM_THREADS"] = previous
-    return out
-
-
-# ---------------------------------------------------------------------------
-# INT8: integer-lowered graph vs the QDQ float-simulation graph
-# ---------------------------------------------------------------------------
-
-def bench_int8(models: list[str], batch: int, repeats: int,
-               backend: str = "dsp") -> dict:
-    """Integer fast path (``lower_integer``) vs QDQ fake-quant execution.
-
-    Both graphs compile to plans on the same backend persona and must be
-    bit-identical (integer accumulation of uint8/int8 codes is exact in
-    float64 — see docs/performance.md).  The lowered graph skips the
-    per-op dequantize round-trips; the gate is "not slower" with a 5%
-    tolerance, because on small models both paths sit near the dispatch
-    noise floor.
-    """
-    from repro.backend import (create_backend, export_module,
-                               fuse_conv_bn_relu, lower_integer,
-                               quantize_graph)
-
-    rng = np.random.default_rng(0)
-    out: dict = {"batch": batch, "backend": backend, "models": {}}
-    for name in models:
-        model = create_model(name, num_classes=10, seed=0)
-        graph = fuse_conv_bn_relu(export_module(model, name))
-        calib = rng.normal(size=(8, 3, 32, 32)) * 0.25
-        qdq = quantize_graph(graph, calib)
-        lowered = lower_integer(qdq)
-        executor = create_backend(backend)
-        plan_qdq = executor.compile(qdq)
-        plan_int = executor.compile(lowered)
-        x = rng.normal(size=(batch, 3, 32, 32))
-        identical = bool(np.array_equal(plan_qdq.run(x), plan_int.run(x)))
-        t_qdq, t_int = _bench_interleaved(lambda: plan_qdq.run(x),
-                                          lambda: plan_int.run(x), repeats)
-        out["models"][name] = {
-            "qdq_s": round(t_qdq, 4),
-            "int_s": round(t_int, 4),
-            "speedup": round(t_qdq / t_int, 2),
-            "bit_identical": identical,
-        }
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Memory: streamed shard pipeline vs monolithic evaluation
 # ---------------------------------------------------------------------------
 
@@ -643,18 +525,12 @@ def main(argv: list[str] | None = None) -> int:
         synth_reps = 3
         inf_models, inf_batches = ["resnet18x0.25", "mcunet-293kb"], (1, 8)
         mem_images, mem_native, mem_shard = 64, 64, 8
-        intra_models, intra_batch, intra_reps = ["resnet18x0.25"], 32, 3
-        int8_models, int8_batch, int8_reps = ["mcunet-293kb"], 32, 5
     else:
         heap_forwards = 25
         sizes, repeats, n_decode, n_sweep = [48, 96, 192], 3, 64, 64
         synth_reps = 5
         inf_models, inf_batches = INFERENCE_MODELS, (1, 8, 32)
         mem_images, mem_native, mem_shard = 128, 96, 8
-        intra_models, intra_batch, intra_reps = (
-            ["resnet18x0.25", "vit-tiny"], 64, 5)
-        int8_models, int8_batch, int8_reps = (
-            ["mcunet-293kb", "mobilenetv2-0.5", "resnet18x0.25"], 32, 7)
 
     print("benchmarking entropy codec ...")
     entropy = bench_entropy(sizes, repeats)
@@ -701,24 +577,6 @@ def main(argv: list[str] | None = None) -> int:
     if inference["families_2x"]:
         print(f"  families at >=2x: {', '.join(inference['families_2x'])}")
 
-    print("benchmarking intra-op parallelism (threaded vs serial plan) ...")
-    intra_op = bench_intra_op(intra_models, intra_batch, intra_reps)
-    for mname, r in intra_op["models"].items():
-        print(f"  {mname:18s} {r['serial_s']*1e3:.1f}ms -> "
-              f"{r['threaded_s']*1e3:.1f}ms ({r['speedup']:.2f}x at "
-              f"{intra_op['threads']} threads, {r['tiled_calls']} tiled "
-              f"calls, identical={r['bit_identical']})")
-    if not intra_op["speed_gated"]:
-        print(f"  (1 core available: bit-parity checked, speed gate "
-              f"skipped)")
-
-    print("benchmarking int8 integer fast path (lowered vs QDQ) ...")
-    int8 = bench_int8(int8_models, int8_batch, int8_reps)
-    for mname, r in int8["models"].items():
-        print(f"  {mname:18s} {r['qdq_s']*1e3:.1f}ms -> "
-              f"{r['int_s']*1e3:.1f}ms ({r['speedup']:.2f}x on "
-              f"{int8['backend']}, identical={r['bit_identical']})")
-
     print("benchmarking streamed-sweep peak memory ...")
     memory = bench_memory(mem_images, mem_native, mem_shard)
     print(f"  {memory['images']} imgs @{memory['native_size']}px, "
@@ -747,8 +605,6 @@ def main(argv: list[str] | None = None) -> int:
         "synth": synth,
         "heap": heap,
         "inference": inference,
-        "intra_op": intra_op,
-        "int8": int8,
         "memory": memory,
         "sweep": sweep,
     }
@@ -826,24 +682,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: compiled plan reaches >=2x on "
               f"{len(inference['families_2x'])} model families (need 2)")
         return 1
-    for mname, r in intra_op["models"].items():
-        if not r["bit_identical"]:
-            print(f"FAIL: threaded plan diverges from serial ({mname}) — "
-                  f"intra-op determinism contract broken")
-            return 1
-        if intra_op["speed_gated"] and r["speedup"] < 1.5:
-            print(f"FAIL: intra-op threading under 1.5x on {mname} "
-                  f"({r['speedup']:.2f}x at {intra_op['threads']} threads, "
-                  f"{intra_op['cores_available']} cores)")
-            return 1
-    for mname, r in int8["models"].items():
-        if not r["bit_identical"]:
-            print(f"FAIL: integer-lowered graph diverges from QDQ ({mname})")
-            return 1
-        if r["speedup"] < 0.95:
-            print(f"FAIL: integer fast path slower than QDQ on {mname} "
-                  f"({r['speedup']:.2f}x; tolerance 0.95)")
-            return 1
     gate = min(r["decode_speedup"] for r in entropy.values())
     if gate < 1.0:
         print(f"FAIL: vectorized decoder slower than scalar ({gate:.2f}x)")

@@ -22,13 +22,6 @@ throughput
     End-to-end job throughput (jobs/s) of a batch of distinct tiny sweep
     jobs vs ``--job-workers``.
 
-cold_start (gate)
-    Submits a sweep job with ``inference="plan"`` and requires the job
-    runner to publish the compiled-plan artefact (``plan.npz``, digest
-    recorded in the manifest); then measures the worker-join cold start —
-    ``load_plan`` on the artefact vs the full rebuild+export+compile
-    pipeline — requiring bit-identity and load < compile.
-
 restart (gate)
     SIGKILLs the server mid-job, restarts it over the same store, and
     requires the job be reported ``interrupted`` with progress counts that
@@ -336,83 +329,6 @@ def suite_throughput(tmp: Path, smoke: bool) -> dict:
     return {"rows": rows}
 
 
-def suite_cold_start(tmp: Path, smoke: bool) -> dict:
-    """Plan-artefact cold start (gate): export once, deploy many.
-
-    Submits a sweep job with ``inference="plan"``: the job runner must
-    compile the model's execution plan once and publish it as ``plan.npz``
-    in the run directory, with its content digest recorded in the manifest
-    — that is what later ``repro worker`` joiners and server restarts load
-    instead of recompiling.  The suite then measures that worker-join
-    cold start directly: ``load_plan`` on the published artefact vs the
-    full export+compile pipeline, and requires the loaded plan to be
-    bit-identical and the load to actually be faster.
-    """
-    store = tmp / "cold"
-    server = Server(store)
-    try:
-        status, doc = post(server.base, "/v1/jobs",
-                           {**TINY_SPEC, "inference": "plan"})
-        assert status == 202, doc
-        job_id = doc["id"]
-        doc = wait_status(server.base, job_id, "completed", "failed")
-        assert doc["status"] == "completed", doc
-    finally:
-        server.stop()
-
-    run_dir = store / job_id
-    plan_path = run_dir / "plan.npz"
-    assert plan_path.exists(), f"plan artefact not published in {run_dir}"
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    digested = "plan.npz" in manifest.get("checkpoints", {})
-    assert digested, "plan artefact digest missing from the run manifest"
-
-    from repro.backend import (compile_plan, create_backend, export_module,
-                               load_plan)
-    from repro.models import create_model
-    from repro.nn import load_checkpoint
-
-    spec_model = TINY_SPEC["model"]
-    repeats = 3 if smoke else 5
-
-    def fresh_compile():
-        # The rival is the full worker-join pipeline the artefact replaces:
-        # rebuild the model, restore the run's trained weights, export,
-        # compile.  Same weights -> the outputs must be bit-identical.
-        model = create_model(spec_model, num_classes=10,
-                             seed=TINY_SPEC.get("seed", 0))
-        load_checkpoint(model, run_dir / "weights.npz")
-        graph = export_module(model)
-        return compile_plan(graph, create_backend("reference"))
-
-    t_load = t_compile = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        loaded = load_plan(plan_path)
-        t_load = min(t_load, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        compiled = fresh_compile()
-        t_compile = min(t_compile, time.perf_counter() - t0)
-
-    import numpy as np
-    x = np.random.default_rng(0).normal(size=(8, 3, 32, 32))
-    identical = bool(np.array_equal(loaded.run(x), compiled.run(x)))
-    out = {"model": spec_model,
-           "artifact_kb": round(plan_path.stat().st_size / 1024, 1),
-           "digest_recorded": digested,
-           "load_ms": round(t_load * 1e3, 2),
-           "compile_ms": round(t_compile * 1e3, 2),
-           "speedup": round(t_compile / t_load, 1),
-           "bit_identical": identical}
-    print(f"cold start: load {out['load_ms']}ms vs compile "
-          f"{out['compile_ms']}ms ({out['speedup']}x, "
-          f"{out['artifact_kb']}KB artefact, identical={identical})")
-    assert identical, "loaded plan diverges from a fresh compile"
-    assert t_load < t_compile, \
-        "loading the plan artefact is not faster than recompiling"
-    return out
-
-
 def suite_restart(tmp: Path) -> dict:
     store = tmp / "restart"
     server = Server(store)
@@ -542,7 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         server.stop()
     record["throughput"] = suite_throughput(tmp, args.smoke)
-    record["cold_start"] = suite_cold_start(tmp, args.smoke)
     record["restart"] = suite_restart(tmp)
     record["drain"] = suite_drain(tmp)
 

@@ -43,10 +43,8 @@ _EXPORTS = {name: module for module, names in {
     "plan": ("ExecutionPlan", "compile_cached", "compile_plan"),
     "profile": ("GraphProfile", "OpProfile", "profile_graph",
                 "render_profile"),
-    "quantize": ("calibrate_ranges", "lower_integer", "quantize_graph"),
-    "serialize": ("GRAPH_FORMAT_VERSION", "PLAN_FORMAT_VERSION",
-                  "PlanFormatError", "load_graph", "load_plan", "plan_info",
-                  "save_graph", "save_plan"),
+    "quantize": ("calibrate_ranges", "quantize_graph"),
+    "serialize": ("GRAPH_FORMAT_VERSION", "load_graph", "save_graph"),
     "shapes": ("ShapeError", "infer_shapes", "summary_with_shapes"),
 }.items() for name in names}
 

@@ -287,29 +287,6 @@ class ReferenceExecutor(Executor):
         if op == "linear":
             x, w, *rest = args
             return ops.linear(x, w, rest[0] if rest else None)
-        # Integer fast-path ops (lower_integer): exact code-space arithmetic,
-        # identical bits under every executor — the deployment interpreter
-        # deliberately has no override for them.
-        if op == "qconv2d":
-            x, w, ws, *rest = args
-            return ops.qconv2d(x, w, ws, rest[0] if rest else None,
-                               stride=a["stride"], padding=a["padding"],
-                               dilation=a["dilation"], groups=a["groups"],
-                               x_scale=a["x_scale"],
-                               x_zero_point=a["x_zero_point"],
-                               y_scale=a["y_scale"],
-                               y_zero_point=a["y_zero_point"],
-                               activation=a.get("activation"))
-        if op == "qlinear":
-            x, w, ws, *rest = args
-            return ops.qlinear(x, w, ws, rest[0] if rest else None,
-                               x_scale=a["x_scale"],
-                               x_zero_point=a["x_zero_point"],
-                               y_scale=a["y_scale"],
-                               y_zero_point=a["y_zero_point"],
-                               activation=a.get("activation"))
-        if op == "qrelu":
-            return np.maximum(args[0], a["zero_point"])
         if op == "batchnorm":
             return ops.batchnorm(*args, eps=a["eps"])
         if op == "relu":

@@ -32,11 +32,6 @@ class GraphError(ValueError):
 OP_SCHEMA: dict[str, tuple[tuple[str, ...], int]] = {
     "conv2d": (("stride", "padding", "dilation", "groups"), 1),
     "linear": ((), 1),
-    # Integer fast path (lower_integer): fused op + requant in code space.
-    "qconv2d": (("stride", "padding", "dilation", "groups", "x_scale",
-                 "x_zero_point", "y_scale", "y_zero_point"), 1),
-    "qlinear": (("x_scale", "x_zero_point", "y_scale", "y_zero_point"), 1),
-    "qrelu": (("zero_point",), 1),
     "batchnorm": (("eps",), 1),
     "relu": ((), 1),
     "gelu": ((), 1),
@@ -198,8 +193,8 @@ class Graph:
 
 def _expected_weight_count(node: Node) -> int | None:
     """Weight-operand arity per op (None = variable, checked by executor)."""
-    if node.op in ("conv2d", "linear", "qconv2d", "qlinear"):
-        return None                     # bias optional (q-ops: codes, scale)
+    if node.op in ("conv2d", "linear"):
+        return None                     # bias optional
     if node.op == "batchnorm":
         return 4                        # gamma, beta, mean, var
     if node.op == "layernorm":

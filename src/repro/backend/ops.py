@@ -25,12 +25,8 @@ import numpy as np
 from repro.nn.functional import (im2col, max_pool2d_array, pad2d_const,
                                  pool_output_size)
 
-from . import parallel as _par
-
 __all__ = [
-    "matmul_accum", "conv2d", "linear", "qconv2d", "qlinear", "requantize",
-    "requant_scale",
-    "batchnorm", "layernorm", "relu",
+    "matmul_accum", "conv2d", "linear", "batchnorm", "layernorm", "relu",
     "gelu", "gelu_tanh", "sigmoid", "hard_sigmoid",
     "softmax", "softmax_fast", "max_pool2d", "avg_pool2d",
     "global_avg_pool2d", "upsample2d", "exp_poly",
@@ -41,84 +37,6 @@ __all__ = [
 # Matmul with controllable accumulation order
 # ---------------------------------------------------------------------------
 
-def _even_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    step = -(-n // parts)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _matmul_flops(a: np.ndarray, b: np.ndarray) -> int:
-    """Rough multiply-add count of ``a @ b`` (broadcast-aware)."""
-    try:
-        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        return 0
-    batch = 1
-    for d in lead:
-        batch *= d
-    return 2 * batch * a.shape[-2] * a.shape[-1] * b.shape[-1]
-
-
-def _stacked_matmul(a: np.ndarray, b: np.ndarray, dtype,
-                    workers: int) -> np.ndarray | None:
-    """Fused matmul split over the leading stacked axis, or None.
-
-    NumPy evaluates a stacked matmul as one independent GEMM per leading
-    slice, so computing contiguous slice ranges on worker threads and
-    concatenating in order reproduces the serial result bit for bit (each
-    slice is the *same* GEMM call either way).  2-D problems have no such
-    axis — splitting rows/columns of a single GEMM changes BLAS blocking
-    and therefore low bits — so they stay serial and the batch dimension
-    carries all the parallelism.
-    """
-    nd = max(a.ndim, b.ndim)
-    if nd < 3:
-        return None
-    lead = a.shape[0] if a.ndim == nd else 1
-    if b.ndim == nd:
-        lead = max(lead, b.shape[0])
-    if lead < 2:
-        return None
-    slice_a = a.ndim == nd and a.shape[0] == lead
-    slice_b = b.ndim == nd and b.shape[0] == lead
-
-    def piece(bounds):
-        lo, hi = bounds
-        ai = a[lo:hi] if slice_a else a
-        bi = b[lo:hi] if slice_b else b
-        return (ai @ bi).astype(dtype, copy=False)
-
-    parts = _par.parallel_map(piece, _even_bounds(lead, min(workers, lead)),
-                              workers=workers, tag="gemm-stack")
-    return np.concatenate(parts, axis=0)
-
-
-def _slab_matmul(a: np.ndarray, b: np.ndarray, dtype, accum_chunk: int,
-                 workers: int) -> np.ndarray:
-    """Tiled accumulation with slab partials computed on worker threads.
-
-    Partials are computed concurrently in waves but *reduced strictly in
-    slab order* — the identical sequence of adds the serial loop performs,
-    so the result is bit-identical at any thread count.  Waves bound peak
-    memory at O(workers) partials instead of O(K / accum_chunk).
-    """
-    k = a.shape[-1]
-    starts = list(range(0, k, accum_chunk))
-    wave = max(workers, 2)
-
-    def slab(start):
-        sl = slice(start, start + accum_chunk)
-        return (a[..., sl] @ b[..., sl, :]).astype(dtype, copy=False)
-
-    out = None
-    for i in range(0, len(starts), wave):
-        parts = _par.parallel_map(slab, starts[i:i + wave], workers=workers,
-                                  tag="gemm-slab")
-        for part in parts:
-            out = part if out is None else (out + part).astype(dtype,
-                                                               copy=False)
-    return out
-
-
 def matmul_accum(a: np.ndarray, b: np.ndarray, dtype=np.float64,
                  accum_chunk: int | None = None) -> np.ndarray:
     """``a @ b`` in ``dtype`` with optional tiled accumulation.
@@ -127,28 +45,12 @@ def matmul_accum(a: np.ndarray, b: np.ndarray, dtype=np.float64,
     size, partial products over the contraction axis are summed slab by slab
     in ``dtype`` — the rounding order a tiled GEMM (or a systolic accelerator
     with a small accumulator) produces.
-
-    Large problems are threaded over the shared intra-op pool
-    (:mod:`repro.backend.parallel`): stacked fused matmuls split their
-    leading batch axis, tiled matmuls compute slab partials concurrently
-    and reduce them in slab order.  Both fan-outs are bit-identical to the
-    serial path at every thread count — see docs/performance.md.
     """
     a = a.astype(dtype, copy=False)
     b = b.astype(dtype, copy=False)
     k = a.shape[-1]
-    workers = 1
-    if a.ndim >= 2 and b.ndim >= 2 \
-            and _matmul_flops(a, b) >= _par.TILE_MIN_WORK:
-        workers = _par.num_threads()
     if accum_chunk is None or accum_chunk >= k:
-        if workers > 1:
-            out = _stacked_matmul(a, b, dtype, workers)
-            if out is not None:
-                return out
         return (a @ b).astype(dtype, copy=False)
-    if workers > 1:
-        return _slab_matmul(a, b, dtype, accum_chunk, workers)
     out = None
     for start in range(0, k, accum_chunk):
         sl = slice(start, start + accum_chunk)
@@ -190,90 +92,6 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, *,
     if bias is not None:
         out = (out + bias.astype(dtype, copy=False)).astype(dtype, copy=False)
     return out
-
-
-def requantize(raw: np.ndarray, y_scale: float, y_zero_point: int,
-               activation: str | None = None) -> np.ndarray:
-    """Float accumulator -> INT8 code grid, mirroring ``quantize_linear``.
-
-    ``activation="relu"`` clamps before the round, matching the float path
-    where the activation runs on the raw conv output ahead of its
-    ``quantize_linear`` node.
-    """
-    if activation == "relu":
-        raw = np.maximum(raw, 0)
-    return np.clip(np.round(raw / y_scale) + y_zero_point, -128, 127)
-
-
-def requant_scale(w_scale, *, x_scale: float, y_scale: float) -> np.ndarray:
-    """Combined per-channel requant multiplier ``x_scale·w_scale / y_scale``.
-
-    Folding the output quantisation step into the accumulator multiplier
-    removes one full elementwise pass from every q-op.  The interpreter
-    kernels and the plan bindings both build their multiplier through this
-    function, so the two paths stay expression-identical (bit-for-bit)."""
-    return (float(x_scale)
-            * np.asarray(w_scale, dtype=np.float64)) / float(y_scale)
-
-
-def qconv2d(x_codes: np.ndarray, w_codes: np.ndarray, w_scale: np.ndarray,
-            bias: np.ndarray | None, *, stride: int = 1, padding: int = 0,
-            dilation: int = 1, groups: int = 1, x_scale: float,
-            x_zero_point: int, y_scale: float, y_zero_point: int,
-            activation: str | None = None) -> np.ndarray:
-    """Integer-only INT8 convolution + requantization (one fused node).
-
-    Operands are INT8 *codes* (integer-valued arrays in any float/int
-    container).  The zero-point-shifted codes are accumulated through the
-    float64 GEMM — every product is ≤ 255², every accumulator ≪ 2⁵³, so the
-    arithmetic is **exact** and therefore independent of accumulation
-    order, tiling, and executor dtype.  The single float rounding happens
-    at requantization, exactly where the reference QDQ path rounds too —
-    which is why the lowered graph reproduces the reference QDQ codes (see
-    :func:`repro.backend.quantize.lower_integer`).
-
-    Zero-padding in code space shifts first, pads with 0: a padded cell is
-    exactly the dequantized 0.0 the float path pads with.
-    """
-    xs = x_codes.astype(np.float64, copy=False)
-    if x_zero_point:
-        xs = xs - float(x_zero_point)
-    n = xs.shape[0]
-    cout, cin_g, kh, kw = w_codes.shape
-    cols, meta = im2col(xs, kh, kw, stride, padding, dilation)
-    oh, ow = meta[6], meta[7]
-    cols = cols.reshape(n, groups, cin_g * kh * kw, oh * ow)
-    w = w_codes.astype(np.float64, copy=False).reshape(groups,
-                                                       cout // groups, -1)
-    acc = matmul_accum(w[0] if groups == 1 else w,
-                       cols[:, 0] if groups == 1 else cols,
-                       dtype=np.float64)
-    m = requant_scale(w_scale, x_scale=x_scale, y_scale=y_scale)
-    raw = acc.reshape(n, cout, oh, ow) * m.reshape(1, -1, 1, 1)
-    if bias is not None:
-        raw += (np.asarray(bias, dtype=np.float64)
-                / float(y_scale)).reshape(1, -1, 1, 1)
-    if activation == "relu":
-        raw = np.maximum(raw, 0)
-    return np.clip(np.round(raw) + y_zero_point, -128, 127)
-
-
-def qlinear(x_codes: np.ndarray, w_codes: np.ndarray, w_scale: np.ndarray,
-            bias: np.ndarray | None, *, x_scale: float, x_zero_point: int,
-            y_scale: float, y_zero_point: int,
-            activation: str | None = None) -> np.ndarray:
-    """Integer-only INT8 linear + requantization (see :func:`qconv2d`)."""
-    xs = x_codes.astype(np.float64, copy=False)
-    if x_zero_point:
-        xs = xs - float(x_zero_point)
-    acc = matmul_accum(xs, w_codes.astype(np.float64, copy=False).T,
-                       dtype=np.float64)
-    raw = acc * requant_scale(w_scale, x_scale=x_scale, y_scale=y_scale)
-    if bias is not None:
-        raw += np.asarray(bias, dtype=np.float64) / float(y_scale)
-    if activation == "relu":
-        raw = np.maximum(raw, 0)
-    return np.clip(np.round(raw) + y_zero_point, -128, 127)
 
 
 def batchnorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

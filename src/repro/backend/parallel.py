@@ -1,30 +1,11 @@
-"""Shared intra-op worker-thread pool for the backend kernels.
-
-The sweep engine parallelises *across* variants; this module parallelises
-*inside* a single heavy operator.  :func:`parallel_map` fans a list of
-independent tiles out over one process-wide ``ThreadPoolExecutor`` — NumPy
-releases the GIL inside its BLAS calls, so the tiles genuinely overlap.
-
-**Determinism contract.**  Callers may only submit tiles whose results are
-combined in a *fixed, input-independent order* (``parallel_map`` returns
-results in submission order regardless of completion order), and each tile
-must be the exact computation the serial path would perform.  Under that
-contract threaded results are bit-identical to serial at every thread
-count, which is what lets threading default-on without perturbing any of
-the repo's bit-exactness gates (see docs/performance.md).
-
-Pool width comes from ``REPRO_NUM_THREADS`` when set, else from
-:func:`available_cores` (affinity/cgroup aware; the one core-count probe
-in the package).  On a 1-core host every ``parallel_map`` degrades to a
-plain loop with no pool, no locks and no overhead.  Nested calls (a tile
-that itself reaches ``parallel_map``) run serially in the worker thread,
-so the pool cannot deadlock on itself.
+"""Process-wide thread and heap policy for repro processes.
 
 **Thread budget.**  The system's own schedulers (fleet workers, sweep
-threads, serve job threads, intra-op tiles) are the only source of
-parallelism, so every GEMM runs single-threaded inside its caller's
-thread.  :func:`pin_blas_threads` sets the loaded OpenBLAS to one thread;
+threads, serve job threads) are the only source of parallelism, so every
+GEMM runs single-threaded inside its caller's thread.
+:func:`pin_blas_threads` sets the loaded OpenBLAS to one thread;
 ``repro.cli.main`` and process-pool workers call it before any work.
+:func:`available_cores` is the one core-count probe in the package.
 
 **Heap policy.**  :func:`retain_heap` keeps freed array buffers resident
 (glibc's ``mallopt``), so a forward pass reuses the pages the previous one
@@ -36,22 +17,9 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["num_threads", "parallel_map", "collect_stats", "TILE_MIN_WORK",
-           "available_cores", "pin_blas_threads", "blas_threads",
+__all__ = ["available_cores", "pin_blas_threads", "blas_threads",
            "retain_heap"]
-
-#: Minimum estimated FLOPs before a kernel bothers with the pool; below
-#: this, submit/collect overhead beats any overlap.
-TILE_MIN_WORK = 1 << 20
-
-_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_width = 0
-_tls = threading.local()
-_stats_sink: list | None = None
 
 
 def available_cores() -> int:
@@ -69,21 +37,6 @@ def available_cores() -> int:
         except (AttributeError, OSError):
             n = os.cpu_count()
     return n or 1
-
-
-def num_threads() -> int:
-    """Intra-op pool width: ``REPRO_NUM_THREADS`` if set (>= 1), else the
-    available core count.  Re-read on every call so tests (and pool
-    initializers that pin workers to one thread) can flip the env var."""
-    env = os.environ.get("REPRO_NUM_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-    return available_cores()
 
 
 #: (set, get) symbol pairs: NumPy 2 wheels' scipy-openblas, then distro
@@ -214,75 +167,3 @@ def retain_heap() -> bool:
     mallopt.restype = ctypes.c_int
     # Stop at the first refusal, so one threshold is never left alone.
     return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
-
-
-def _get_pool(width: int) -> ThreadPoolExecutor:
-    """The shared pool, grown (never shrunk) to at least ``width``."""
-    global _pool, _pool_width
-    with _lock:
-        if _pool is None or _pool_width < width:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="repro-intra-op")
-            _pool_width = width
-        return _pool
-
-
-class collect_stats:
-    """Context manager routing per-call tiling stats into ``sink``.
-
-    While active, every :func:`parallel_map` call appends
-    ``{"tag": ..., "tiles": n, "workers": w}`` — including serial
-    degradations (``workers=1``), so the profiler can report utilization
-    honestly on 1-core hosts.
-    """
-
-    def __init__(self, sink: list):
-        self.sink = sink
-        self._prev: list | None = None
-
-    def __enter__(self):
-        global _stats_sink
-        self._prev = _stats_sink
-        _stats_sink = self.sink
-        return self.sink
-
-    def __exit__(self, *exc):
-        global _stats_sink
-        _stats_sink = self._prev
-        return False
-
-
-def _record(tag: str, tiles: int, workers: int) -> None:
-    sink = _stats_sink
-    if sink is not None:
-        sink.append({"tag": tag, "tiles": tiles, "workers": workers})
-
-
-def parallel_map(fn, items: list, *, workers: int | None = None,
-                 tag: str = "tile") -> list:
-    """``[fn(x) for x in items]`` fanned over the shared pool, results in
-    submission order.
-
-    ``workers`` caps the fan-out (defaults to :func:`num_threads`).  Runs
-    serially when the cap, the item count, or nesting (already inside a
-    pool worker) makes threading pointless.
-    """
-    n = len(items)
-    w = num_threads() if workers is None else workers
-    w = max(1, min(w, n))
-    if w <= 1 or n <= 1 or getattr(_tls, "inside", False):
-        _record(tag, n, 1)
-        return [fn(item) for item in items]
-    _record(tag, n, w)
-    pool = _get_pool(w)
-
-    def run(item):
-        _tls.inside = True
-        try:
-            return fn(item)
-        finally:
-            _tls.inside = False
-
-    return list(pool.map(run, items))

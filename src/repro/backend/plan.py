@@ -36,7 +36,6 @@ a single pass (``run_batch([x])`` equals ``run(x)``).
 from __future__ import annotations
 
 import threading
-import time
 from functools import partial
 
 import numpy as np
@@ -166,167 +165,6 @@ def _bind_conv2d(node: Node, inits: dict, dt, ac, inplace: bool):
         if relu_after:
             np.maximum(out, 0, out=out)
         return out
-
-    return fn
-
-
-def _requant_inplace(out: np.ndarray, y_zp: float, relu_after: bool,
-                     store: np.ndarray | None = None) -> np.ndarray:
-    """In-place tail of the q-op kernels (relu/round/zero-point/clip) —
-    the same elementwise f64 steps as ops.qconv2d/qlinear after their
-    combined-multiplier scaling, so codes are bit-identical.
-
-    ``store`` recycles the (dead) float32 accumulator as the result
-    buffer: the final clip casts on store, which is exact for codes in
-    [-128, 127] and keeps downstream tensor traffic at 4 bytes/element.
-    """
-    np.round(out, out=out)
-    if y_zp:
-        np.add(out, y_zp, out=out)
-    # relu folds into the clip floor: max(v,0)->round->+zp->clip(-128,127)
-    # equals round->+zp->clip(zp,127) exactly (case analysis on sign of v),
-    # saving one full pass.  The interpreter keeps the max() form; the
-    # results are provably identical, not merely close.
-    lo = y_zp if relu_after else -128
-    if store is not None:
-        np.clip(out, lo, 127, out=store)
-        return store
-    np.clip(out, lo, 127, out=out)
-    return out
-
-
-def _gemm_dtype(codes: np.ndarray, axes: tuple) -> type:
-    """Narrowest float dtype that accumulates these INT8 codes *exactly*.
-
-    Shifted activation codes satisfy |c - zp| <= 255, so every partial sum
-    of any output element is bounded by ``255 * sum(|w_codes|)`` over the
-    contraction axes.  When the worst channel stays below 2**24 every
-    intermediate is an exactly representable float32 integer and SGEMM
-    (~2x DGEMM throughput) returns the same integers as float64 would.
-    """
-    bound = 255.0 * float(np.abs(codes.astype(np.float64)).sum(axis=axes).max())
-    return np.float32 if bound < 2.0 ** 24 else np.float64
-
-
-def _bind_qdepthwise(w_codes: np.ndarray, a: dict, gemm_dt) -> "callable":
-    """Depthwise integer conv as direct tap accumulation.
-
-    A depthwise kernel is kh*kw multiply-adds per output element; im2col +
-    batched 1xk GEMMs (the float path's layout-parity-preserving route)
-    spends more time gathering than multiplying.  Because the integer
-    accumulation is *exact*, summation order is free — so the taps are
-    accumulated directly over strided views of the padded map, which is
-    both allocation-light and BLAS-free.  Only legal for q-ops: the float
-    path must keep the interpreter's GEMM order to stay bit-identical.
-    """
-    stride, padding = a["stride"], a["padding"]
-    dilation = a["dilation"]
-    cout, _, kh, kw = w_codes.shape
-    taps = w_codes.reshape(cout, kh, kw)
-
-    def conv(xs):
-        n, c, h, w_sp = xs.shape
-        oh = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-        ow = (w_sp + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
-        if padding:
-            xp = np.zeros((n, c, h + 2 * padding, w_sp + 2 * padding),
-                          gemm_dt)
-            xp[:, :, padding:padding + h, padding:padding + w_sp] = xs
-        else:
-            xp = xs
-        acc = None
-        tmp = None
-        for ki in range(kh):
-            for kj in range(kw):
-                view = xp[:, :,
-                          ki * dilation:ki * dilation
-                          + (oh - 1) * stride + 1:stride,
-                          kj * dilation:kj * dilation
-                          + (ow - 1) * stride + 1:stride]
-                wt = taps[:, ki, kj].reshape(1, -1, 1, 1)
-                if acc is None:
-                    acc = view * wt
-                    tmp = np.empty_like(acc)
-                else:
-                    np.multiply(view, wt, out=tmp)
-                    acc += tmp
-        return acc
-
-    return conv
-
-
-def _bind_qconv2d(node: Node, inits: dict, inplace: bool):
-    """Integer fast-path conv: the scratch-buffered conv machinery running
-    on weight *codes*, then an in-place requant.
-
-    The accumulation is exact integer arithmetic (see ops.qconv2d), so the
-    layout/scratch differences vs the interpreter's naive im2col cannot
-    change a single bit — which is what lets this binding go fast without
-    a parity-matching contortion.  For the same reason the GEMM may run in
-    float32 whenever :func:`_gemm_dtype` proves the accumulator fits.
-    """
-    a = node.attrs
-    gemm_dt = _gemm_dtype(inits[node.inputs[1]], (1, 2, 3))
-    w_codes = inits[node.inputs[1]].astype(gemm_dt)
-    cout, cin_g, kh, kw = w_codes.shape
-    if cin_g == 1 and a["groups"] == cout:
-        conv = _bind_qdepthwise(w_codes, a, gemm_dt)
-    else:
-        conv_node = Node("conv2d", node.inputs[:2], node.output,
-                         {k: a[k] for k in ("stride", "padding", "dilation",
-                                            "groups")}, node.name)
-        conv = _bind_conv2d(conv_node, {node.inputs[1]: w_codes},
-                            gemm_dt, None, inplace)
-    m_r = ops.requant_scale(inits[node.inputs[2]], x_scale=a["x_scale"],
-                            y_scale=a["y_scale"]).reshape(1, -1, 1, 1)
-    bias = inits[node.inputs[3]] if len(node.inputs) > 3 else None
-    bias_r = (None if bias is None
-              else (np.asarray(bias, dtype=np.float64)
-                    / float(a["y_scale"])).reshape(1, -1, 1, 1))
-    relu_after = a.get("activation") == "relu"
-    x_zp = float(a["x_zero_point"])
-    y_zp = float(a["y_zero_point"])
-
-    def fn(x):
-        xs = x.astype(gemm_dt, copy=False)
-        if x_zp:
-            xs = xs - gemm_dt(x_zp)
-        # Mixed-dtype multiply: the f32 accumulator promotes to f64 exactly
-        # inside the ufunc, so one pass both converts and scales — bits
-        # match the interpreter's all-float64 kernel.
-        acc = conv(xs)
-        out = np.multiply(acc, m_r)
-        if bias_r is not None:
-            np.add(out, bias_r, out=out)
-        return _requant_inplace(out, y_zp, relu_after,
-                                acc if acc.dtype == np.float32 else None)
-
-    return fn
-
-
-def _bind_qlinear(node: Node, inits: dict):
-    a = node.attrs
-    gemm_dt = _gemm_dtype(inits[node.inputs[1]], (1,))
-    wt = inits[node.inputs[1]].astype(gemm_dt).T
-    m = ops.requant_scale(inits[node.inputs[2]], x_scale=a["x_scale"],
-                          y_scale=a["y_scale"])
-    bias = inits[node.inputs[3]] if len(node.inputs) > 3 else None
-    bias_c = (None if bias is None
-              else np.asarray(bias, dtype=np.float64) / float(a["y_scale"]))
-    relu_after = a.get("activation") == "relu"
-    x_zp = float(a["x_zero_point"])
-    y_zp = float(a["y_zero_point"])
-
-    def fn(x):
-        xs = x.astype(gemm_dt, copy=False)
-        if x_zp:
-            xs = xs - gemm_dt(x_zp)
-        acc = ops.matmul_accum(xs, wt, dtype=gemm_dt)
-        out = np.multiply(acc, m)
-        if bias_c is not None:
-            np.add(out, bias_c, out=out)
-        return _requant_inplace(out, y_zp, relu_after,
-                                acc if acc.dtype == np.float32 else None)
 
     return fn
 
@@ -469,9 +307,6 @@ def _bind_generic(node: Node, opts, inplace: bool):
     elif op == "quantize_linear":
         scale, zp = a["scale"], a["zero_point"]
         kernel = lambda x: np.clip(np.round(x / scale) + zp, -128, 127)
-    elif op == "qrelu":
-        zp = a["zero_point"]
-        kernel = lambda x: np.maximum(x, zp)
     elif op == "dequantize_linear":
         scale, zp = a["scale"], a["zero_point"]
         kernel = lambda x: (x - zp) * scale
@@ -519,10 +354,6 @@ def _bind_node(node: Node, inits: dict, opts, inplace: bool):
         return _bind_conv2d(node, inits, dt, ac, inplace)
     if node.op == "linear":
         return _bind_linear(node, inits, dt, ac)
-    if node.op == "qconv2d":
-        return _bind_qconv2d(node, inits, inplace)
-    if node.op == "qlinear":
-        return _bind_qlinear(node, inits)
     if node.op == "batchnorm":
         return _bind_batchnorm(node, inits, dt)
     if node.op == "layernorm":
@@ -647,7 +478,6 @@ class ExecutionPlan:
             consts = []           # (position, raw array) for initializer args
             for pos, v in enumerate(node.inputs):
                 if v in inits and node.op not in ("conv2d", "linear",
-                                                  "qconv2d", "qlinear",
                                                   "batchnorm", "layernorm"):
                     consts.append((pos, inits[v]))
                 elif v not in inits:
@@ -693,41 +523,6 @@ class ExecutionPlan:
         return env[self._output_slot]
 
     __call__ = run
-
-    def run_instrumented(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """:meth:`run` with per-step wall time and intra-op tiling stats.
-
-        Returns ``(output, records)`` where each record is one step's
-        ``{"name", "op", "time_s", "tiles", "workers"}`` — ``tiles`` and
-        ``workers`` aggregated from every :func:`~repro.backend.parallel.
-        parallel_map` call the step's kernel made (0/1 when the kernel never
-        reached the pool, including serial degradation on 1-core hosts).
-        Steps are one-to-one with ``graph.nodes``, so records line up with
-        static profiles.  The instrumented pass computes exactly what
-        :meth:`run` computes — stats collection adds list appends, nothing
-        that perturbs kernel arithmetic.
-        """
-        from . import parallel
-        records = []
-        env: list = [None] * self.n_slots
-        env[self._input_slot] = self._cast_input(x)
-        for (fn, srcs, dst, releases), node in zip(self._steps,
-                                                   self.graph.nodes):
-            sink: list = []
-            start = time.perf_counter()
-            with parallel.collect_stats(sink):
-                value = fn(*[env[s] for s in srcs])
-            elapsed = time.perf_counter() - start
-            env[dst] = value
-            for s in releases:
-                env[s] = None
-            records.append({
-                "name": node.name or node.output, "op": node.op,
-                "time_s": elapsed,
-                "tiles": sum(rec["tiles"] for rec in sink),
-                "workers": max((rec["workers"] for rec in sink), default=1),
-            })
-        return env[self._output_slot], records
 
     def run_batch(self, batches) -> np.ndarray:
         """Carry a whole minibatch through the plan in one pass.

@@ -44,10 +44,6 @@ class GraphProfile:
     wall_time_s: float | None = None
     batch: int | None = None
     compiled: bool = False          # wall time measured on an ExecutionPlan
-    #: Per-node intra-op parallelism records (compiled timing only): each is
-    #: ``{"name", "op", "time_s", "tiles", "workers"}`` from
-    #: :meth:`~repro.backend.plan.ExecutionPlan.run_instrumented`.
-    intra_op: list | None = None
 
     @property
     def total_flops(self) -> int:
@@ -77,23 +73,17 @@ def _node_flops(node: Node, ins: list[tuple], out: tuple,
                 weights: dict[str, np.ndarray]) -> int:
     op, a = node.op, node.attrs
     out_el = _elements(out)
-    if op in ("conv2d", "qconv2d"):
+    if op == "conv2d":
         w = weights[node.inputs[1]]
         cin_g, kh, kw = w.shape[1], w.shape[2], w.shape[3]
         macs = out_el * cin_g * kh * kw
-        # The integer fast path adds a requantization pass (scale, round,
-        # clip) on top of the accumulation — ~4 elementwise ops per output.
-        extra = 4 * out_el if op == "qconv2d" else 0
-        return (2 * macs + extra + (out_el if len(node.inputs) > 2 else 0)
+        return (2 * macs + (out_el if len(node.inputs) > 2 else 0)
                 + (out_el if a.get("activation") else 0))
-    if op in ("linear", "qlinear"):
+    if op == "linear":
         w = weights[node.inputs[1]]
         rows = _elements(ins[0][:-1]) if len(ins[0]) > 1 else 1
-        extra = 4 * out_el if op == "qlinear" else 0
-        return 2 * rows * w.shape[0] * w.shape[1] + extra \
+        return 2 * rows * w.shape[0] * w.shape[1] \
             + (out_el if len(node.inputs) > 2 else 0)
-    if op == "qrelu":
-        return out_el
     if op == "matmul":
         k = ins[0][-1]
         return 2 * out_el * (k or 1)
@@ -148,8 +138,7 @@ def profile_graph(graph: Graph, input_shape: tuple = (None, 3, 32, 32), *,
     if x is not None:
         executor = executor or ReferenceExecutor()
         if compiled:
-            plan = executor.compile(graph)
-            run = plan.run
+            run = executor.compile(graph).run
             profile.compiled = True
         else:
             run = lambda batch: executor.run(graph, batch)
@@ -161,11 +150,6 @@ def profile_graph(graph: Graph, input_shape: tuple = (None, 3, 32, 32), *,
             best = min(best, time.perf_counter() - start)
         profile.wall_time_s = best
         profile.batch = len(x)
-        if compiled:
-            # One extra instrumented pass (outside the min-of-N timing):
-            # per-node wall time plus how the intra-op pool tiled each
-            # kernel — see render_profile's utilization report.
-            _, profile.intra_op = plan.run_instrumented(x)
     return profile
 
 
@@ -184,22 +168,4 @@ def render_profile(profile: GraphProfile, top: int = 8) -> str:
     for op in profile.heaviest(top):
         lines.append(f"{op.name:<32} {op.op:<14} {op.flops:>12d} "
                      f"{op.params:>8d} {100 * op.flops / total:>7.1f}%")
-    if profile.intra_op:
-        from .parallel import num_threads
-        width = num_threads()
-        threaded = [r for r in profile.intra_op if r["workers"] > 1]
-        busy = sum(r["time_s"] for r in threaded)
-        wall = sum(r["time_s"] for r in profile.intra_op) or 1.0
-        lines.append("")
-        lines.append(f"intra-op parallelism: pool width {width}, "
-                     f"{len(threaded)}/{len(profile.intra_op)} nodes "
-                     f"threaded ({100 * busy / wall:.0f}% of step time)")
-        lines.append(f"{'layer':<32} {'op':<14} {'ms':>8} {'tiles':>6} "
-                     f"{'workers':>8}")
-        heaviest = sorted(profile.intra_op, key=lambda r: r["time_s"],
-                          reverse=True)[:top]
-        for r in heaviest:
-            lines.append(f"{r['name']:<32} {r['op']:<14} "
-                         f"{r['time_s'] * 1e3:>8.2f} {r['tiles']:>6d} "
-                         f"{r['workers']:>8d}")
     return "\n".join(lines)

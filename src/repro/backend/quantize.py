@@ -19,15 +19,9 @@ from repro.nn.quant import compute_qparams, fake_quant
 from .executor import ReferenceExecutor
 from .ir import Graph, Node
 
-__all__ = ["quantize_graph", "calibrate_ranges", "lower_integer"]
+__all__ = ["quantize_graph", "calibrate_ranges"]
 
 _TARGETS = ("conv2d", "linear", "matmul")
-
-#: Ops an INT8 *code* tensor passes through unchanged (pure data movement)
-#: or monotonically (maxpool: max over codes == max over dequantized values
-#: for any positive scale), so the integer view survives them exactly.
-_INT_PASSTHROUGH = ("reshape", "transpose", "slice", "identity", "flatten",
-                    "maxpool")
 
 
 def calibrate_ranges(graph: Graph, x_calib: np.ndarray) -> dict[str, tuple]:
@@ -75,15 +69,6 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
             q_name = w_name + ".int8"
             inits[q_name] = wq
             inputs[1] = q_name
-            # Side-channel for the integer fast path (lower_integer): the
-            # grid *codes* and per-channel scales behind the fake-quant
-            # float values.  codes * scale reproduces ``wq`` bit-exactly —
-            # fake_quant computed each element as exactly that product.
-            scale_flat = np.asarray(qp.scale, dtype=np.float64).reshape(-1)
-            safe = np.where(scale_flat == 0.0, 1.0, scale_flat)
-            codes = np.round(wq / safe.reshape(shape)).astype(np.int8)
-            inits[q_name + ".code"] = codes
-            inits[q_name + ".scale"] = scale_flat
         lo, hi = ranges[node.output]
         qp_act = compute_qparams(lo, hi)
         raw = node.output + ".raw"
@@ -99,124 +84,5 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
                           name=(node.name or node.output) + ".dequant"))
     out = Graph(name=graph.name + ".int8", input=graph.input,
                 output=graph.output, nodes=nodes, initializers=inits)
-    out.validate()
-    return out
-
-
-def lower_integer(graph: Graph) -> Graph:
-    """Lower a QDQ graph to the integer-only INT8 fast path.
-
-    The QDQ graph from :func:`quantize_graph` round-trips every quantised
-    tensor through float: ``dequantize → conv (float GEMM) → quantize``.
-    This pass rewrites the quantised segments to stay in *code space*
-    instead:
-
-    * ``conv2d``/``linear`` whose input carries an integer view and whose
-      weights have stashed grid codes fuse with their ``quantize_linear``
-      into one ``qconv2d``/``qlinear`` node — exact integer accumulation
-      (via the float64 GEMM, see :func:`repro.backend.ops.qconv2d`) plus
-      requantization, no intermediate float tensor;
-    * ``relu`` becomes ``qrelu`` (``max(code, zero_point)``) and pure data
-      movement / maxpool propagate the code tensor unchanged — all exact
-      rewrites in code space;
-    * everything else (first conv on the unquantised input, residual adds,
-      pooling means, matmul) keeps the float path: the integer view simply
-      stops at the last ``dequantize_linear`` before it.
-
-    **Exactness contract**: because integer accumulation is exact and the
-    QDQ path re-rounds to the code grid at every ``quantize_linear``, the
-    lowered graph reproduces the *reference* (float64) execution of the
-    QDQ graph code-for-code — the single rounding at requantization lands
-    on the same code unless the float64 accumulation error crosses a
-    rounding boundary (probability ~1e-11 per element; the test suite and
-    the perf gates check exact equality across the zoo).  The lowered
-    quantised segments are additionally dtype- and tiling-invariant, so
-    they produce identical bits under every deployment executor.
-    """
-    inits = dict(graph.initializers)
-    nodes = list(graph.nodes)
-    new_nodes: list[Node] = []
-    int_view: dict[str, tuple[str, float, int]] = {}
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        if (node.op in ("conv2d", "linear")
-                and nxt is not None and nxt.op == "quantize_linear"
-                and nxt.inputs[0] == node.output
-                and len(node.inputs) >= 2
-                and node.inputs[1] + ".code" in inits
-                and node.inputs[0] in int_view):
-            code_in, x_scale, x_zp = int_view[node.inputs[0]]
-            w_name = node.inputs[1]
-            attrs = {k: node.attrs[k]
-                     for k in ("stride", "padding", "dilation", "groups",
-                               "activation") if k in node.attrs}
-            attrs.update(x_scale=float(x_scale), x_zero_point=int(x_zp),
-                         y_scale=float(nxt.attrs["scale"]),
-                         y_zero_point=int(nxt.attrs["zero_point"]))
-            qop = "qconv2d" if node.op == "conv2d" else "qlinear"
-            inputs = (code_in, w_name + ".code", w_name + ".scale",
-                      *node.inputs[2:3])
-            new_nodes.append(Node(qop, inputs, nxt.output, attrs, node.name))
-            i += 2                       # consumed conv + quantize_linear
-            continue
-        if node.op == "dequantize_linear":
-            int_view[node.output] = (node.inputs[0],
-                                     float(node.attrs["scale"]),
-                                     int(node.attrs["zero_point"]))
-            new_nodes.append(node)
-            i += 1
-            continue
-        if node.op == "relu" and node.inputs[0] in int_view:
-            code_in, scale, zp = int_view[node.inputs[0]]
-            q_out = node.output + ".qv"
-            new_nodes.append(Node("qrelu", (code_in,), q_out,
-                                  dict(zero_point=zp),
-                                  (node.name or node.output) + ".qv"))
-            # The float twin is *reconstructed* from the code result rather
-            # than recomputed: relu(deq(c)) == deq(max(c, zp)) bit-for-bit
-            # (scale > 0 and IEEE multiply is monotone), and a dequantize is
-            # far cheaper than rerunning the op.  DCE drops it if every
-            # consumer was lowered.
-            new_nodes.append(Node("dequantize_linear", (q_out,), node.output,
-                                  dict(scale=scale, zero_point=zp),
-                                  (node.name or node.output) + ".dq"))
-            int_view[node.output] = (q_out, scale, zp)
-            i += 1
-            continue
-        if node.op in _INT_PASSTHROUGH and node.inputs \
-                and node.inputs[0] in int_view:
-            code_in, scale, zp = int_view[node.inputs[0]]
-            q_out = node.output + ".qv"
-            new_nodes.append(Node(node.op, (code_in,) + node.inputs[1:],
-                                  q_out, node.attrs,
-                                  (node.name or node.output) + ".qv"))
-            # Same reconstruction trick: op(deq(c)) == deq(op(c)) for pure
-            # data movement, and for maxpool because max commutes with the
-            # monotone code->float map.  Avoids running e.g. the stem
-            # maxpool twice (once on floats, once on codes).
-            new_nodes.append(Node("dequantize_linear", (q_out,), node.output,
-                                  dict(scale=scale, zero_point=zp),
-                                  (node.name or node.output) + ".dq"))
-            int_view[node.output] = (q_out, scale, zp)
-            i += 1
-            continue
-        new_nodes.append(node)
-        i += 1
-
-    # Dead-code elimination from the graph output: float twins whose every
-    # consumer was lowered vanish, as do their fake-quant float weights.
-    needed = {graph.output}
-    kept: list[Node] = []
-    for node in reversed(new_nodes):
-        if node.output in needed:
-            kept.append(node)
-            needed.update(node.inputs)
-    kept.reverse()
-    used = {v for node in kept for v in node.inputs if v in inits}
-    out = Graph(name=graph.name + ".int", input=graph.input,
-                output=graph.output, nodes=kept,
-                initializers={k: v for k, v in inits.items() if k in used})
     out.validate()
     return out

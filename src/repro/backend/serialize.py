@@ -1,4 +1,4 @@
-"""Graph and compiled-plan serialisation as single ``.npz`` artefacts.
+"""Graph serialisation: save/load deployment graphs as a single ``.npz``.
 
 The exported graph is the deployment artefact — the thing actually shipped
 to the target device — so it needs a durable format.  Structure (nodes,
@@ -6,42 +6,22 @@ attrs, input/output names) is stored as a JSON document; weight initializers
 are stored as native compressed arrays.  Array-valued attributes (only
 ``constant`` nodes have them) are spilled into the array section and
 referenced from the JSON by key.
-
-:func:`save_plan` / :func:`load_plan` extend the same format to a *compiled*
-:class:`~repro.backend.plan.ExecutionPlan`: the fully prepared graph (backend
-rewrites and the bit-exact plan passes already applied, weights bound) plus
-the backend identity it was compiled for.  Loading rebinds kernels from the
-stored arrays — no export, no calibration, no pass pipeline — so a worker
-cold-starts straight into ``plan.run`` with bit-identical results to a fresh
-compile ("export once, deploy many").  Plan artefacts carry a CRC32 over
-their canonical JSON and every array byte (the ledger's checksum discipline,
-see docs/integrity.md); a damaged or version-mismatched artefact is rejected
-at load, never silently executed.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .ir import Graph, GraphError, Node
 
-__all__ = ["save_graph", "load_graph", "GRAPH_FORMAT_VERSION",
-           "save_plan", "load_plan", "plan_info", "PLAN_FORMAT_VERSION",
-           "PlanFormatError"]
+__all__ = ["save_graph", "load_graph", "GRAPH_FORMAT_VERSION"]
 
 GRAPH_FORMAT_VERSION = 1
-PLAN_FORMAT_VERSION = 1
 _META_KEY = "__graph_json__"
-_PLAN_META_KEY = "__plan_json__"
 _ATTR_PREFIX = "__attr__"
-
-
-class PlanFormatError(GraphError):
-    """Raised for unreadable, corrupted, or version-mismatched plan files."""
 
 
 def _encode_attrs(attrs: dict, arrays: dict, node_index) -> dict:
@@ -138,116 +118,3 @@ def load_graph(path: str | Path) -> Graph:
                          f"{doc.get('version')!r}, expected "
                          f"{GRAPH_FORMAT_VERSION}")
     return _graph_from_doc(doc, arrays)
-
-
-# ---------------------------------------------------------------------------
-# Compiled-plan artefacts
-# ---------------------------------------------------------------------------
-
-def _plan_crc(doc: dict, arrays: dict) -> int:
-    """CRC32 over the canonical plan document and every array's bytes.
-
-    Same discipline as the run ledger's entry checksums (docs/integrity.md):
-    the document contributes its sorted-key compact JSON — a property of the
-    content, not the byte layout — and each array contributes its name,
-    dtype, shape, and raw data, in sorted name order.
-    """
-    data = json.dumps(doc, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    crc = zlib.crc32(data)
-    for name in sorted(arrays):
-        a = np.ascontiguousarray(arrays[name])
-        crc = zlib.crc32(name.encode("utf-8"), crc)
-        crc = zlib.crc32(f"{a.dtype}{a.shape}".encode("utf-8"), crc)
-        crc = zlib.crc32(a.tobytes(), crc)
-    return crc & 0xFFFFFFFF
-
-
-def _options_doc(options) -> dict | None:
-    if options is None:
-        return None
-    import dataclasses
-    return dataclasses.asdict(options)
-
-
-def save_plan(plan, path: str | Path) -> Path:
-    """Serialise a compiled :class:`~repro.backend.plan.ExecutionPlan`.
-
-    The artefact stores the *prepared* graph (backend rewrites and plan
-    passes already applied — fused ops, folded movement, quantised weights
-    with their code/scale side-channels) plus the compiling backend's
-    identity and options, and a CRC32 over everything.  It is therefore
-    self-contained: :func:`load_plan` rebinds kernels and runs, without
-    repeating export, calibration, or the pass pipeline.
-    """
-    graph = plan.graph
-    graph.validate()
-    arrays: dict[str, np.ndarray] = dict(graph.initializers)
-    doc = {
-        "version": PLAN_FORMAT_VERSION,
-        "backend": plan.backend,
-        "options": _options_doc(plan.options),
-        "graph": _graph_doc(graph, arrays),
-    }
-    doc["crc32"] = _plan_crc(doc, arrays)
-    path = Path(path)
-    np.savez_compressed(path, **arrays,
-                        **{_PLAN_META_KEY: np.frombuffer(
-                            json.dumps(doc).encode(), dtype=np.uint8)})
-    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
-
-
-def _read_plan_doc(path: Path) -> tuple[dict, dict]:
-    try:
-        with np.load(path) as data:
-            if _PLAN_META_KEY not in data:
-                raise PlanFormatError(f"{path}: not a repro plan file")
-            doc = json.loads(bytes(data[_PLAN_META_KEY]).decode())
-            arrays = {k: data[k] for k in data.files if k != _PLAN_META_KEY}
-    except PlanFormatError:
-        raise
-    except Exception as exc:               # zip/json level damage
-        raise PlanFormatError(f"{path}: unreadable plan file: {exc}") from exc
-    if doc.get("version") != PLAN_FORMAT_VERSION:
-        raise PlanFormatError(f"{path}: plan format version "
-                              f"{doc.get('version')!r}, expected "
-                              f"{PLAN_FORMAT_VERSION}")
-    stored = doc.pop("crc32", None)
-    actual = _plan_crc(doc, arrays)
-    if stored != actual:
-        raise PlanFormatError(f"{path}: checksum mismatch (stored "
-                              f"{stored!r}, computed {actual}) — artefact "
-                              f"is corrupt, refusing to load")
-    return doc, arrays
-
-
-def plan_info(path: str | Path) -> dict:
-    """Checked metadata of a plan artefact (without building the plan)."""
-    doc, arrays = _read_plan_doc(Path(path))
-    g = doc["graph"]
-    return {"backend": doc["backend"], "options": doc["options"],
-            "graph_name": g["name"], "nodes": len(g["nodes"]),
-            "initializers": len(g["initializer_names"]),
-            "parameters": int(sum(int(np.asarray(arrays[n]).size)
-                                  for n in g["initializer_names"]))}
-
-
-def load_plan(path: str | Path):
-    """Load a plan artefact into a runnable ``ExecutionPlan``.
-
-    Kernel rebinding from the stored arrays is deterministic, so the loaded
-    plan's outputs are bit-identical to the plan that was saved — and hence
-    to a fresh compile of the original graph on the same backend.
-    """
-    doc, arrays = _read_plan_doc(Path(path))
-    graph = _graph_from_doc(doc["graph"], arrays)
-    from .executor import BackendOptions, DeploymentExecutor, ReferenceExecutor
-    if doc["options"] is None:
-        executor = ReferenceExecutor()
-        options = None
-    else:
-        options = BackendOptions(**doc["options"])
-        executor = DeploymentExecutor(options)
-    from .plan import ExecutionPlan
-    return ExecutionPlan(graph, executor.cast_input, options=options,
-                         backend=doc["backend"])

@@ -124,15 +124,15 @@ def infer_shapes(graph: Graph,
 def _infer_node(node: Node, ins: list[Shape]) -> Shape:
     op, a = node.op, node.attrs
     x = ins[0] if ins else ()
-    if op in ("conv2d", "qconv2d"):
+    if op == "conv2d":
         n, _, h, w = x
         cout = ins[1][0]
         oh = _conv_out(h, ins[1][2], a["stride"], a["padding"], a["dilation"])
         ow = _conv_out(w, ins[1][3], a["stride"], a["padding"], a["dilation"])
         return (n, cout, oh, ow)
-    if op in ("linear", "qlinear"):
+    if op == "linear":
         return tuple(x[:-1]) + (ins[1][0],)
-    if op in ("batchnorm", "layernorm", "relu", "qrelu", "gelu", "sigmoid",
+    if op in ("batchnorm", "layernorm", "relu", "gelu", "sigmoid",
               "identity", "clip", "quantize_linear", "dequantize_linear",
               "softmax", "scale", "fused_elementwise"):
         return x

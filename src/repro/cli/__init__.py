@@ -36,12 +36,7 @@ without writing Python:
 ``export``         Lower a model to the deployment graph (.npz); supports
                    ``--optimize`` (compiler passes) and ``--int8`` (QDQ).
 ``profile``        Per-op FLOPs/params/shape report, optional wall time;
-                   ``--compiled`` adds per-node intra-op thread utilisation.
-``plan``           Serialized compiled plans (export once, deploy many):
-                   ``plan save`` compiles a model and writes the versioned,
-                   checksummed ``plan.npz`` artefact; ``plan info`` prints
-                   its checked metadata; ``plan run`` loads and executes it
-                   (``--parity`` asserts bit-identity vs a fresh compile).
+                   ``--compiled`` times the compiled execution plan.
 ``backend-diff``   Export a model to the graph IR and localise where two
                    backends diverge, layer by layer.
 ``visualize``      The Fig.-5 difference maps as terminal heatmaps (optionally
@@ -77,7 +72,7 @@ import argparse
 import sys
 
 from . import (backends_cmd, evaluate_cmd, fsck_cmd, info_cmd, noises_cmd,
-               plan_cmd, report_cmd, run_cmd, serve_cmd, worker_cmd)
+               report_cmd, run_cmd, serve_cmd, worker_cmd)
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="SysNoise benchmark CLI (MLSys 2023 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
     for module in (info_cmd, noises_cmd, evaluate_cmd, run_cmd, worker_cmd,
-                   fsck_cmd, backends_cmd, plan_cmd, report_cmd, serve_cmd):
+                   fsck_cmd, backends_cmd, report_cmd, serve_cmd):
         module.register(sub)
     return parser
 

@@ -102,9 +102,8 @@ def register(sub: argparse._SubParsersAction) -> None:
                    default="module",
                    help="evaluation substrate: 'module' runs the model's "
                         "forward; 'plan' compiles it to an execution plan "
-                        "once, publishes plan.npz in the run directory, and "
-                        "every joining worker loads it instead of "
-                        "recompiling (run identity — resume inherits it)")
+                        "once per process (run identity — resume and "
+                        "workers inherit it)")
     _add_engine_args(p)
     p.set_defaults(func=cmd_run)
 

@@ -61,9 +61,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
                else cli.get("retries", 0))
     # Identical session geometry to the run that created the manifest —
     # dataset seed, shard/batch sizes — is what makes every worker derive
-    # the same cell identities and the same final table.
-    # (that includes the inference substrate: a plan-mode run's workers
-    # load the published plan.npz artefact instead of recompiling).
+    # the same cell identities and the same final table (that includes
+    # the inference substrate).
     session = _build_stored_session(
         cli.get("model", manifest["model"]), manifest["seed"], cli["data"],
         None, "shared", cli.get("batch_size"), retries,

@@ -35,7 +35,7 @@ from .mitigations import (MitigationSpec, checkpoint_name, get_mitigation,
                           mitigation_stage, register_mitigation,
                           temporary_mitigation, unregister_mitigation)
 from .noise import NoiseConfig, NoiseSpec, TRAIN_CONFIG
-from .planner import INFERENCE_MODES, PLAN_ARTIFACT, PlanPredictor
+from .planner import INFERENCE_MODES, PlanPredictor
 from .pipeline import (apply_model_noise, decode_dataset, decode_shards,
                        normalize, preprocess, preprocess_dataset,
                        preprocess_shards)
@@ -84,7 +84,7 @@ __all__ = [
     # integrity verification (fsck)
     "checkpoint_digest", "verify_checkpoint", "fsck_run", "fsck_store",
     # compiled-plan inference
-    "PlanPredictor", "PLAN_ARTIFACT", "INFERENCE_MODES",
+    "PlanPredictor", "INFERENCE_MODES",
     # shared-run coordination + fault injection
     "WorkQueue", "Lease", "FaultRule", "FaultInjector", "FaultError",
     "fault_point", "install_faults", "uninstall_faults",

@@ -1,23 +1,11 @@
-"""Compiled-plan inference for sweeps: export once, deploy many.
+"""Compiled-plan inference for sweeps: export once per process, run many.
 
-A sweep's cold start is dominated by turning the trained model into
-something fast to run: export to the graph IR, backend rewrites, the
-bit-exact plan passes, kernel binding.  With many workers joining one run
-(``repro worker``, the serve layer's job runners), every process repeats
-that work.  :class:`PlanPredictor` closes the loop:
-
-* the first process to need the plan compiles it and publishes the
-  artefact — ``plan.npz`` in the run directory — via
-  :func:`repro.backend.serialize.save_plan` (atomic tmp + rename), and
-  records its content digest in the run manifest under the same
-  ``checkpoints`` discipline as ``weights.npz``;
-* every later process loads the artefact instead of recompiling
-  (:func:`~repro.backend.serialize.load_plan` verifies the format version
-  and the embedded CRC32; the manifest digest is re-verified first, so a
-  swapped-in foreign artefact is refused exactly like a wrong checkpoint);
-* the loaded plan's outputs are bit-identical to a fresh compile — kernel
-  rebinding is deterministic — so ledger cells computed by loaders and
-  compilers splice losslessly.
+:class:`PlanPredictor` exports the trained model to the graph IR, compiles
+it for the reference backend (backend rewrites, the bit-exact plan passes,
+kernel binding) the first time a sweep cell needs it, and runs every later
+cell of that model through the same :class:`~repro.backend.plan.
+ExecutionPlan`.  Each process compiles its own plan; compilation is
+deterministic, so cells computed by different workers splice losslessly.
 
 Plan inference is opt-in (``SweepEngine(inference="plan")`` /
 ``BenchmarkSession.inference("plan")``) because the compiled graph
@@ -33,20 +21,11 @@ always-plan or always-module under the mode.  See docs/performance.md.
 
 from __future__ import annotations
 
-import logging
-import os
-from pathlib import Path
-
 import numpy as np
 
 from .cache import object_token
 
-__all__ = ["PLAN_ARTIFACT", "PlanPredictor", "INFERENCE_MODES"]
-
-logger = logging.getLogger(__name__)
-
-#: The compiled-plan artefact a stored run publishes next to ``weights.npz``.
-PLAN_ARTIFACT = "plan.npz"
+__all__ = ["PlanPredictor", "INFERENCE_MODES"]
 
 #: Accepted values for the engine/session ``inference`` knob.
 INFERENCE_MODES = ("module", "plan")
@@ -63,96 +42,27 @@ class PlanPredictor:
 
     One instance is shared across a session's engines; compiled plans are
     memoised per model identity token, so the clean row, worst-case curve
-    and every preprocessing-noise cell reuse a single plan.  ``artifact``
-    (with its owning ``ledger``) designates the on-disk home for *one*
-    model's plan — :meth:`attach_artifact` binds it; other models (e.g.
-    train-time-mitigated rows) compile in process only.
+    and every preprocessing-noise cell reuse a single plan.
     """
 
-    def __init__(self, backend: str = "reference"):
-        self.backend = backend
+    def __init__(self):
         self._plans: dict[int, object] = {}
-        self._artifact: Path | None = None
-        self._artifact_ledger = None
-        self._artifact_token: int | None = None
-        #: Counters for tests and the cold-start benchmark.
-        self.loads = 0
+        #: How many plans this predictor compiled (one per model).
         self.compiles = 0
-
-    # -- wiring --------------------------------------------------------------
-
-    def attach_artifact(self, model, path, ledger=None) -> None:
-        """Publish/consume ``model``'s plan at ``path`` (usually the run
-        directory's ``plan.npz``), recording its digest in ``ledger``'s
-        manifest when given."""
-        self._artifact = Path(path)
-        self._artifact_ledger = ledger
-        self._artifact_token = object_token(model)
-
-    # -- plan resolution -----------------------------------------------------
 
     def plan_for(self, model):
         """The compiled :class:`~repro.backend.plan.ExecutionPlan` for
-        ``model`` — loaded from the attached artefact when present and
-        digest-verified, else compiled (and published when this model owns
-        the artefact)."""
+        ``model`` (compiled on first use, then memoised)."""
         token = object_token(model)
         plan = self._plans.get(token)
-        if plan is not None:
-            return plan
-        plan = None
-        if token == self._artifact_token and self._artifact is not None:
-            plan = self._load_artifact()
         if plan is None:
-            plan = self._compile(model)
+            from repro.backend import (compile_plan, create_backend,
+                                       export_module)
+            plan = compile_plan(export_module(model),
+                                create_backend("reference"))
             self.compiles += 1
-            if token == self._artifact_token and self._artifact is not None:
-                self._publish(plan)
-        self._plans[token] = plan
+            self._plans[token] = plan
         return plan
-
-    def _load_artifact(self):
-        from repro.backend.serialize import PlanFormatError, load_plan
-        path = self._artifact
-        if not path.exists():
-            return None
-        if self._artifact_ledger is not None:
-            from .integrity import verify_checkpoint
-            check = verify_checkpoint(self._artifact_ledger, name=path.name)
-            if check["status"] == "mismatch":
-                # Same refusal as a wrong weights.npz: a foreign plan would
-                # make this worker's cells disagree with the run's ledger.
-                logger.warning(
-                    "plan artefact %s fails its recorded content digest; "
-                    "refusing it and recompiling", path)
-                return None
-        try:
-            plan = load_plan(path)
-        except PlanFormatError as exc:
-            logger.warning("plan artefact %s rejected (%s); recompiling",
-                           path, exc)
-            return None
-        self.loads += 1
-        return plan
-
-    def _publish(self, plan) -> None:
-        """Atomic artefact publish + manifest digest (best-effort: a full
-        disk must not abort the sweep the plan merely accelerates)."""
-        from repro.backend.serialize import save_plan
-        path = self._artifact
-        try:
-            tmp = save_plan(plan, path.with_name(f"plan.tmp{os.getpid()}.npz"))
-            os.replace(tmp, path)
-            if self._artifact_ledger is not None:
-                self._artifact_ledger.record_checkpoint(path)
-        except Exception as exc:               # noqa: BLE001 — I/O errors
-            logger.warning("could not publish plan artefact %s (%s); "
-                           "later workers will recompile", path, exc)
-
-    def _compile(self, model):
-        from repro.backend import compile_plan, create_backend, export_module
-        graph = export_module(model)
-        return compile_plan(graph, create_backend(self.backend))
 
     # -- the predict hook ----------------------------------------------------
 

@@ -297,12 +297,9 @@ class BenchmarkSession:
         """Choose the inference substrate for evaluations.
 
         ``"module"`` (default) runs the training runtime's forward;
-        ``"plan"`` runs a compiled :class:`~repro.backend.plan.ExecutionPlan`
-        — with a store attached, the plan is published into the run
-        directory as a checksummed artefact (``plan.npz``) the first time
-        it is compiled, and every later worker/resume loads it instead of
-        recompiling ("export once, deploy many" — see docs/performance.md).
-        The substrates differ at float rounding level, so the mode is run
+        ``"plan"`` runs a compiled :class:`~repro.backend.plan.ExecutionPlan`,
+        compiled once per process (see docs/performance.md).  The
+        substrates differ at float rounding level, so the mode is run
         identity: it folds into every cache/ledger key and the run
         manifest.  Plan inference covers cells whose config leaves the
         model untouched; model-modifying configs (precision, ceil-mode...)
@@ -466,17 +463,6 @@ class BenchmarkSession:
             os.replace(tmp, ckpt)
             ledger.record_checkpoint(ckpt)
         self._fit_or_load_mitigated(ledger, log)
-        if self._inference == "plan":
-            # Publish the compiled plan next to the weights at prepare time,
-            # so `--prepare-only` leaves workers an artefact to load (cold
-            # start = load + verify, not export + compile).
-            import time as _time
-            start = _time.perf_counter()
-            predictor = self._ensure_plan_predictor()
-            predictor.plan_for(self.trained_model)
-            verb = "loaded" if predictor.loads else "compiled"
-            log(f"{verb} inference plan ({ledger.path / 'plan.npz'}) "
-                f"in {_time.perf_counter() - start:.2f}s")
         return self
 
     def _fit_or_load_mitigated(self, ledger, log) -> None:
@@ -640,16 +626,11 @@ class BenchmarkSession:
                                            else None))
 
     def _ensure_plan_predictor(self):
-        """The session-wide plan predictor, its artefact wired to the run
-        directory when a store is attached (one compiled plan shared by
+        """The session-wide plan predictor (one compiled plan shared by
         every engine/row this session creates)."""
-        from .planner import PLAN_ARTIFACT, PlanPredictor
+        from .planner import PlanPredictor
         if self._plan_predictor is None:
             self._plan_predictor = PlanPredictor()
-        ledger = self.ledger
-        if ledger is not None:
-            self._plan_predictor.attach_artifact(
-                self.trained_model, ledger.path / PLAN_ARTIFACT, ledger)
         return self._plan_predictor
 
     def _selected_noises(self) -> list[str]:

@@ -249,8 +249,7 @@ class SweepEngine:
             stage = mitigation_stage(mitigation)
             self._test_mitigation = mitigation if stage == "test" else None
         #: Inference substrate: ``"module"`` (the training runtime's
-        #: forward) or ``"plan"`` (a compiled ExecutionPlan, loaded from the
-        #: run directory's artefact when present — see
+        #: forward) or ``"plan"`` (a compiled ExecutionPlan — see
         #: :mod:`repro.core.planner`).  The substrates differ at float
         #: rounding level, so the mode folds into every cache and ledger
         #: key — plan-mode cells never splice with module-mode ones.
@@ -1284,14 +1283,11 @@ def _share_decoded_dataset(ds):
 
 
 def _process_worker_init(payload: bytes, shm_meta, shard_ctx=None) -> None:
-    # Inter-op × intra-op × BLAS widths multiply: a pool of N sweep
-    # workers, each tiling over available_cores() backend threads whose
-    # GEMMs each fan out over OpenBLAS's own threads, oversubscribes the
-    # host many times over.  Workers default to serial kernels and a
-    # one-thread BLAS; an explicit REPRO_NUM_THREADS, OPENBLAS_NUM_THREADS
-    # or OMP_NUM_THREADS set by the operator is honoured as-is.  Spawned
-    # workers do not inherit the parent's heap policy, so they set it too.
-    os.environ.setdefault("REPRO_NUM_THREADS", "1")
+    # A pool of N sweep workers whose GEMMs each fan out over OpenBLAS's
+    # own threads oversubscribes the host, so workers pin a one-thread
+    # BLAS; an explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS set by the
+    # operator is honoured as-is.  Spawned workers do not inherit the
+    # parent's heap policy, so they set it too.
     retain_heap()
     pin_blas_threads()
     evaluate, model, ds = pickle.loads(payload)

@@ -130,10 +130,9 @@ class JobSpec:
             raise ValidationError(f"mode must be 'thread' or 'process', "
                                   f"got {self.mode!r}")
         self.retries = self._int(doc, "retries", 0, lo=0, hi=16)
-        # Inference substrate: "plan" compiles the model once, publishes
-        # plan.npz into the job's run directory, and restarts / `repro
-        # worker` joiners load it instead of recompiling.  Run identity —
-        # it folds into the ledger keys, so it is part of the job digest.
+        # Inference substrate: "plan" compiles the model to an execution
+        # plan once per process.  Run identity — it folds into the ledger
+        # keys, so it is part of the job digest.
         self.inference = doc.get("inference", "module")
         if self.inference not in ("module", "plan"):
             raise ValidationError(f"inference must be 'module' or 'plan', "

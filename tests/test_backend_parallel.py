@@ -1,14 +1,10 @@
-"""Intra-op parallelism tests: the determinism contract and its plumbing.
+"""Process policy tests: the BLAS pin, the heap policy, the bounded
+``prepare_cached`` executor cache and the ``profile --compiled`` report.
 
-The intra-op pool (:mod:`repro.backend.parallel`) tiles heavy GEMM-backed
-kernels over a shared thread pool.  Its contract: threaded results are
-bit-identical to serial at *every* thread count, because tiles are the
-exact computations the serial path performs and results are combined in
-submission order.  These tests pin the contract across the zoo, the
-``parallel_map`` semantics it rests on, the bounded ``prepare_cached``
-executor cache, the ``profile --compiled`` intra-op report, and the
-one-thread OpenBLAS pin and the heap policy every CLI process and pool
-worker applies.
+Every CLI process and process-pool worker pins OpenBLAS to one thread and
+keeps freed array buffers resident (:mod:`repro.backend.parallel`); these
+tests pin both, plus the cache bounds and the compiled-plan timing that
+``repro profile --compiled`` prints.
 """
 
 import gc
@@ -23,9 +19,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend import (BACKEND_PRESETS, DeploymentExecutor, GraphBuilder,
-                           ReferenceExecutor, export_module, parallel,
-                           profile_graph, render_profile)
+from repro.backend import (export_module, parallel, profile_graph,
+                           render_profile)
 from repro.backend.executor import (clear_prepared_cache, prepare_cached,
                                     prepared_cache_stats)
 from repro.core import sweep as sweep_mod
@@ -40,103 +35,6 @@ HEAP_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
 
 def graph_for(name: str):
     return export_module(create_model(name, num_classes=5, seed=0), name)
-
-
-# ---------------------------------------------------------------------------
-# Bit-parity: threaded == serial, across the zoo
-# ---------------------------------------------------------------------------
-
-class TestThreadedParity:
-    @pytest.mark.parametrize("model_name", [
-        "resnet18x0.25", "mcunet-293kb", "mobilenetv2-0.5", "vit-tiny",
-    ])
-    def test_plan_bit_identical_across_thread_counts(self, model_name,
-                                                     monkeypatch):
-        g = graph_for(model_name)
-        plan = ReferenceExecutor().compile(g)
-        x = RNG.normal(size=(4, 3, 32, 32))
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        serial = plan.run(x)
-        for n in ("2", "4"):
-            monkeypatch.setenv("REPRO_NUM_THREADS", n)
-            np.testing.assert_array_equal(plan.run(x), serial)
-
-    def test_deployment_backend_parity_under_threads(self, monkeypatch):
-        g = graph_for("resnet18x0.25")
-        ex = DeploymentExecutor(BACKEND_PRESETS["dsp"])
-        x = RNG.normal(size=(4, 3, 32, 32))
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        serial = ex.compile(g).run(x)
-        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
-        np.testing.assert_array_equal(ex.compile(g).run(x), serial)
-
-    def test_threading_engages_on_heavy_ops(self, monkeypatch):
-        """At >=2 threads the resnet stem convs actually fan out (guards
-        against the pool silently degrading to serial everywhere)."""
-        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        g = graph_for("resnet18x0.25")
-        plan = ReferenceExecutor().compile(g)
-        x = RNG.normal(size=(8, 3, 32, 32))
-        sink = []
-        with parallel.collect_stats(sink):
-            plan.run(x)
-        assert any(rec["workers"] > 1 for rec in sink)
-
-
-# ---------------------------------------------------------------------------
-# parallel_map semantics
-# ---------------------------------------------------------------------------
-
-class TestParallelMap:
-    def test_results_in_submission_order(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "4")
-        items = list(range(64))
-        assert parallel.parallel_map(lambda i: i * i, items) == \
-            [i * i for i in items]
-
-    def test_serial_degradation_cases(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-        sink = []
-        with parallel.collect_stats(sink):
-            parallel.parallel_map(lambda i: i, [1, 2, 3])
-        assert sink == [{"tag": "tile", "tiles": 3, "workers": 1}]
-
-    def test_single_item_stays_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "8")
-        sink = []
-        with parallel.collect_stats(sink):
-            parallel.parallel_map(lambda i: i, [42])
-        assert sink[0]["workers"] == 1
-
-    def test_nested_calls_run_serially(self, monkeypatch):
-        """A tile that itself reaches parallel_map must not re-enter the
-        pool (deadlock guard); the inner call degrades to a plain loop."""
-        monkeypatch.setenv("REPRO_NUM_THREADS", "2")
-        sink = []
-
-        def outer(i):
-            return sum(parallel.parallel_map(lambda j: j, [i, i + 1]))
-
-        with parallel.collect_stats(sink):
-            out = parallel.parallel_map(outer, [0, 2, 4])
-        assert out == [1, 5, 9]
-        inner = [rec for rec in sink if rec["tiles"] == 2]
-        assert inner and all(rec["workers"] == 1 for rec in inner)
-
-    def test_workers_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "8")
-        sink = []
-        with parallel.collect_stats(sink):
-            parallel.parallel_map(lambda i: i, list(range(10)), workers=3)
-        assert sink[0]["workers"] == 3
-
-    def test_num_threads_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_THREADS", "5")
-        assert parallel.num_threads() == 5
-        monkeypatch.setenv("REPRO_NUM_THREADS", "bogus")
-        assert parallel.num_threads() == parallel.available_cores()
-        monkeypatch.delenv("REPRO_NUM_THREADS")
-        assert parallel.num_threads() == parallel.available_cores()
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +109,9 @@ class TestBlasPin:
 
     def test_process_worker_init_pins(self, blas_at_two, monkeypatch):
         monkeypatch.setattr(sweep_mod, "_WORKER", {})
-        monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
         sweep_mod._process_worker_init(pickle.dumps((None, None, None)),
                                        None)
         assert parallel.blas_threads() == 1
-        assert os.environ["REPRO_NUM_THREADS"] == "1"
 
     def test_no_openblas_is_a_noop(self, blas_at_two, monkeypatch):
         before = parallel.blas_threads()
@@ -409,54 +305,15 @@ class TestPreparedCache:
 
 
 # ---------------------------------------------------------------------------
-# profile --compiled: per-node timing + tiling stats
+# profile --compiled: wall time measured on the compiled plan
 # ---------------------------------------------------------------------------
 
 class TestCompiledProfile:
-    def test_intra_op_records_are_per_node(self):
+    def test_compiled_profile_times_the_plan(self):
         g = graph_for("mcunet-293kb")
         x = RNG.normal(size=(4, 3, 32, 32))
         profile = profile_graph(g, x=x, compiled=True, repeats=1)
-        assert profile.intra_op is not None
-        assert len(profile.intra_op) == len(g.nodes)
-        for rec in profile.intra_op:
-            assert rec["time_s"] >= 0.0
-            assert rec["workers"] >= 1
-
-    def test_render_includes_intra_op_section(self):
-        g = graph_for("mcunet-293kb")
-        x = RNG.normal(size=(4, 3, 32, 32))
-        profile = profile_graph(g, x=x, compiled=True, repeats=1)
-        text = render_profile(profile, top=5)
-        assert "intra-op" in text
-
-    def test_uncompiled_profile_has_no_intra_op(self):
-        g = graph_for("mcunet-293kb")
-        profile = profile_graph(g, repeats=1)
-        assert profile.intra_op is None
-
-    def test_instrumented_run_matches_plain_run(self):
-        g = graph_for("mcunet-293kb")
-        plan = ReferenceExecutor().compile(g)
-        x = RNG.normal(size=(4, 3, 32, 32))
-        y, records = plan.run_instrumented(x)
-        np.testing.assert_array_equal(y, plan.run(x))
-        assert len(records) == len(plan.graph.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Explicit micro-graph parity (catches tiling bugs without zoo overhead)
-# ---------------------------------------------------------------------------
-
-def test_wide_matmul_parity(monkeypatch):
-    b = GraphBuilder("wide")
-    b.add_initializer("w", RNG.normal(size=(512, 384)))
-    b.add_initializer("bias", RNG.normal(size=(512,)))
-    out = b.emit("linear", ["x", "w", "bias"])
-    g = b.finish(out)
-    x = RNG.normal(size=(64, 384))
-    plan = ReferenceExecutor().compile(g)
-    monkeypatch.setenv("REPRO_NUM_THREADS", "1")
-    serial = plan.run(x)
-    monkeypatch.setenv("REPRO_NUM_THREADS", "4")
-    np.testing.assert_array_equal(plan.run(x), serial)
+        assert profile.compiled
+        assert profile.wall_time_s > 0.0
+        assert profile.batch == 4
+        assert "(compiled plan)" in render_profile(profile, top=5)

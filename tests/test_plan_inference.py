@@ -1,9 +1,9 @@
 """Plan-inference integration tests: sessions, engines, ledgers, serve.
 
 ``inference="plan"`` swaps the sweep's evaluation substrate from the
-module forward to a compiled execution plan — published once into the run
-directory as ``plan.npz`` and loaded (digest-verified) by every joining
-process.  These tests pin the wiring: artefact publish/load/refusal, the
+module forward to a compiled execution plan, compiled once per process.
+These tests pin the wiring: one compile per run and no file left in the
+run directory, old run directories that still carry a ``plan.npz``, the
 mode folding into cache and ledger identity, the per-cell fallback for
 model-modifying configs, and the serve layer's spec validation.
 """
@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import (PLAN_ARTIFACT, BenchmarkSession, PlanPredictor,
+from repro.core import (BenchmarkSession, PlanPredictor, RunStore,
                         SweepEngine)
 
 NOISES = ("resize", "precision")
@@ -36,44 +36,19 @@ def row_of(result):
 
 
 # ---------------------------------------------------------------------------
-# Artefact lifecycle: publish, load, refuse
+# Run lifecycle: each process compiles its own plan and stores nothing
 # ---------------------------------------------------------------------------
 
 class TestArtifactLifecycle:
-    def test_first_session_publishes_with_digest(self, tmp_path):
-        s = build_session(tmp_path, "plan")
-        s.fit_or_load(epochs=1)
-        ledger = s.ledger
-        plan_path = ledger.path / PLAN_ARTIFACT
-        assert plan_path.exists()
-        assert PLAN_ARTIFACT in ledger.manifest.get("checkpoints", {})
-        assert s._ensure_plan_predictor().compiles == 1
-
-    def test_second_session_loads_not_recompiles(self, tmp_path):
-        s1 = build_session(tmp_path, "plan")
-        s1.fit_or_load(epochs=1)
-        r1 = row_of(s1.run())
-        s2 = build_session(tmp_path, "plan", run_id=s1.run_id)
-        s2.fit_or_load(epochs=1)
-        r2 = row_of(s2.run())
-        predictor = s2._ensure_plan_predictor()
-        assert predictor.loads == 1 and predictor.compiles == 0
-        assert r1 == r2
-
-    def test_corrupt_artifact_refused_and_recompiled(self, tmp_path):
-        s1 = build_session(tmp_path, "plan")
-        s1.fit_or_load(epochs=1)
-        r1 = row_of(s1.run())
-        plan_path = s1.ledger.path / PLAN_ARTIFACT
-        data = bytearray(plan_path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        plan_path.write_bytes(bytes(data))
-        s2 = build_session(tmp_path, "plan", run_id=s1.run_id)
-        s2.fit_or_load(epochs=1)
-        r2 = row_of(s2.run())
-        predictor = s2._ensure_plan_predictor()
-        assert predictor.loads == 0 and predictor.compiles == 1
-        assert r1 == r2     # refusal falls back to an identical recompile
+    def test_independent_runs_compile_once_and_write_no_plan(self, tmp_path):
+        rows = []
+        for store in (tmp_path / "a", tmp_path / "b"):
+            s = build_session(store, "plan")
+            s.fit_or_load(epochs=1)
+            rows.append(row_of(s.run()))
+            assert s._ensure_plan_predictor().compiles == 1
+            assert not (s.ledger.path / "plan.npz").exists()
+        assert rows[0] == rows[1]
 
     def test_manifest_records_inference_mode(self, tmp_path):
         s = build_session(tmp_path, "plan")
@@ -90,6 +65,51 @@ class TestArtifactLifecycle:
         s2 = build_session(tmp_path, "plan", run_id=s1.run_id)
         with pytest.raises(ValueError):
             s2.ledger
+
+
+# ---------------------------------------------------------------------------
+# Old run directories: a recorded plan.npz is carried along, never read
+# ---------------------------------------------------------------------------
+
+RUN_ARGS = ("--run-id", "r", "--model", "mcunet-293kb", "--n", "24",
+            "--epochs", "1", "--noises", "resize,precision", "--no-combined",
+            "--inference", "plan")
+
+
+def cli(*argv) -> int:
+    from repro.cli import main
+    return main(list(argv))
+
+
+def ledger_values(store) -> dict:
+    ledger = RunStore(store).open("r")
+    return {(e["model"], e["dataset"], e["cfg"]): e["value"]
+            for e in ledger.entries()
+            if e["kind"] == "eval" and e["status"] == "ok"}
+
+
+class TestOldPlanRunDirectories:
+    def test_worker_finishes_a_run_that_recorded_a_plan(self, tmp_path,
+                                                        capsys):
+        """A plan-mode run prepared before plan artefacts were dropped has
+        ``plan.npz`` in its directory and its digest in the manifest.
+        ``repro worker`` and ``repro fsck`` accept it and leave it as is."""
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        assert cli("run", "--store", str(old), *RUN_ARGS,
+                   "--prepare-only") == 0
+        plan = old / "r" / "plan.npz"
+        np.savez_compressed(plan, stale=np.arange(8.0))
+        RunStore(old).open("r").record_checkpoint(plan)
+        data, mtime = plan.read_bytes(), plan.stat().st_mtime_ns
+
+        assert cli("worker", "r", "--store", str(old)) == 0
+        assert cli("run", "--store", str(fresh), *RUN_ARGS) == 0
+        values = ledger_values(old)
+        assert values and values == ledger_values(fresh)
+        assert cli("fsck", "r", "--store", str(old)) == 0
+        assert plan.read_bytes() == data
+        assert plan.stat().st_mtime_ns == mtime
+        assert not (fresh / "r" / "plan.npz").exists()
 
 
 # ---------------------------------------------------------------------------
