@@ -39,7 +39,8 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
     """Return an INT8 deployment copy of ``graph``.
 
     * conv/linear weight initializers are snapped to their symmetric
-      per-output-channel INT8 grid (matmul operands stay activations);
+      per-output-channel INT8 grid, stored as ``<weight>.int8`` in place of
+      the float weight (matmul operands stay activations);
     * each target node's output is routed through an asymmetric per-tensor
       ``quantize_linear``/``dequantize_linear`` pair calibrated on
       ``x_calib`` — the fake-quant error INT8 inference sees.
@@ -50,6 +51,7 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
     """
     ranges = calibrate_ranges(graph, x_calib)
     inits = dict(graph.initializers)
+    replaced: set[str] = set()
     nodes: list[Node] = []
     for node in graph.nodes:
         if node.op not in _TARGETS:
@@ -69,6 +71,7 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
             q_name = w_name + ".int8"
             inits[q_name] = wq
             inputs[1] = q_name
+            replaced.add(w_name)
         lo, hi = ranges[node.output]
         qp_act = compute_qparams(lo, hi)
         raw = node.output + ".raw"
@@ -82,6 +85,10 @@ def quantize_graph(graph: Graph, x_calib: np.ndarray) -> Graph:
                           dict(scale=float(np.asarray(qp_act.scale)),
                                zero_point=int(np.asarray(qp_act.zero_point))),
                           name=(node.name or node.output) + ".dequant"))
+    # A float weight whose every reader now reads its INT8 copy is dead.
+    read = {name for node in nodes for name in node.inputs}
+    for name in replaced - read:
+        del inits[name]
     out = Graph(name=graph.name + ".int8", input=graph.input,
                 output=graph.output, nodes=nodes, initializers=inits)
     out.validate()

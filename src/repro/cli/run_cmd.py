@@ -98,12 +98,6 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "`repro worker` fleets")
     p.add_argument("--mitigate", action="append", default=None,
                    metavar="NAME[:K=V,...]", help=_MITIGATE_HELP)
-    p.add_argument("--inference", choices=("module", "plan"),
-                   default="module",
-                   help="evaluation substrate: 'module' runs the model's "
-                        "forward; 'plan' compiles it to an execution plan "
-                        "once per process (run identity — resume and "
-                        "workers inherit it)")
     _add_engine_args(p)
     p.set_defaults(func=cmd_run)
 
@@ -130,7 +124,7 @@ def register(sub: argparse._SubParsersAction) -> None:
 
 def _build_stored_session(model: str, seed: int, data_kw: dict,
                           workers, mode: str, batch_size, retries: int,
-                          shard_size=None, inference: str = "module"):
+                          shard_size=None):
     from repro.core import BenchmarkSession
 
     return (BenchmarkSession()
@@ -140,7 +134,6 @@ def _build_stored_session(model: str, seed: int, data_kw: dict,
             .batch(batch_size)
             .shards(shard_size)
             .retries(retries)
-            .inference(inference)
             .model(model)
             .data(**data_kw))
 
@@ -150,12 +143,6 @@ def _apply_zoo_skips(session, model: str) -> None:
     spec = {s.name: s for s in MODEL_ZOO}.get(model)
     if spec is not None and not spec.has_maxpool:
         session.skip("ceil_mode")
-
-
-def _fit_or_load(session, ledger, epochs: int) -> None:
-    """Train or restore this run's checkpoint (now a session method, kept
-    here as a thin alias so both CLI entry points read the same)."""
-    session.fit_or_load(epochs=epochs, log=print)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -172,9 +159,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         session = _build_stored_session(
             args.model, args.seed, data_kw, args.workers,
             getattr(args, "mode", "thread"), args.batch_size, args.retries,
-            getattr(args, "shard_size", None),
-            inference=getattr(args, "inference", "module"))
-    except ValueError as exc:                # e.g. plan + process pool
+            getattr(args, "shard_size", None))
+    except ValueError as exc:                # e.g. --shard-size 0
         print(f"error: {exc}")
         return 2
     session.noises(*noises).combined(not args.no_combined)
@@ -190,7 +176,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                        "batch_size": args.batch_size,
                        "shard_size": getattr(args, "shard_size", None),
                        "retries": args.retries,
-                       "inference": getattr(args, "inference", "module"),
                        "mitigate": list(args.mitigate or ())})
     try:
         ledger = session.ledger            # creates or resumes the run
@@ -198,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     before = ledger.counts()
-    _fit_or_load(session, ledger, args.epochs)
+    session.fit_or_load(epochs=args.epochs, log=print)
     if getattr(args, "prepare_only", False):
         print(f"run {ledger.run_id} prepared: weights checkpointed under "
               f"{ledger.path} — launch `repro worker {ledger.run_id} "
@@ -235,16 +220,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
                else cli.get("retries", 0))
     # Shard geometry is resume identity: per-shard ledger entries only
     # satisfy lookups for exactly the bounds the original run derived.
-    # The inference substrate is run identity (it folds into every ledger
-    # key), so a resume always inherits the recorded mode.
-    try:
-        session = _build_stored_session(
-            cli.get("model", manifest["model"]), manifest["seed"], cli["data"],
-            workers, mode, cli.get("batch_size"), retries,
-            cli.get("shard_size"), inference=cli.get("inference", "module"))
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    session = _build_stored_session(
+        cli.get("model", manifest["model"]), manifest["seed"], cli["data"],
+        workers, mode, cli.get("batch_size"), retries, cli.get("shard_size"))
     session.noises(*manifest["noises"]).skip(*manifest.get("skip", ()))
     session.combined(manifest.get("include_combined", True))
     # Mitigations are run identity, never an override: a resume either
@@ -272,9 +250,14 @@ def cmd_resume(args: argparse.Namespace) -> int:
     for mit in recorded:
         session.mitigate(mit["name"], **mit.get("params", {}))
     session.store(store, run_id=args.run_id, data=cli["data"], cli=cli)
-    ledger = session.ledger                # the single ledger replay
+    try:
+        ledger = session.ledger            # the single ledger replay
+    except ValueError as exc:              # identity mismatch, plan run
+        print(f"error: {exc}")
+        return 2
     before = ledger.counts()
-    _fit_or_load(session, ledger, cli.get("fit", {}).get("epochs", 15))
+    session.fit_or_load(epochs=cli.get("fit", {}).get("epochs", 15),
+                        log=print)
     result = session.run()
     after = ledger.counts()
     print(result.render(f"SysNoise run — {session._label} (resumed)"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from .run_cmd import _build_stored_session, _fit_or_load
+from .run_cmd import _build_stored_session
 
 __all__ = ["register"]
 
@@ -61,12 +61,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
                else cli.get("retries", 0))
     # Identical session geometry to the run that created the manifest —
     # dataset seed, shard/batch sizes — is what makes every worker derive
-    # the same cell identities and the same final table (that includes
-    # the inference substrate).
+    # the same cell identities and the same final table.
     session = _build_stored_session(
         cli.get("model", manifest["model"]), manifest["seed"], cli["data"],
-        None, "shared", cli.get("batch_size"), retries,
-        cli.get("shard_size"), inference=cli.get("inference", "module"))
+        None, "shared", cli.get("batch_size"), retries, cli.get("shard_size"))
     session.lease(args.lease_ttl, args.max_claims)
     session.noises(*manifest["noises"]).skip(*manifest.get("skip", ()))
     session.combined(manifest.get("include_combined", True))
@@ -76,7 +74,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
     for mit in manifest.get("mitigations", ()):
         session.mitigate(mit["name"], **mit.get("params", {}))
     session.store(store, run_id=args.run_id, data=cli["data"], cli=cli)
-    ledger = session.ledger
+    try:
+        ledger = session.ledger
+    except ValueError as exc:              # identity mismatch, plan run
+        print(f"error: {exc}")
+        return 2
     before = ledger.counts()
     # A worker holding wrong weights must refuse to join: its results
     # would splice silently-divergent metrics into every peer's table.
@@ -100,7 +102,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
     # Loads the prepared checkpoint; if the run was not prepared, every
     # worker trains the same deterministic weights (slower, still correct —
     # the checkpoint publish is atomic and last-writer-wins-identically).
-    _fit_or_load(session, ledger, cli.get("fit", {}).get("epochs", 15))
+    session.fit_or_load(epochs=cli.get("fit", {}).get("epochs", 15),
+                        log=print)
     result = session.run()
     after = ledger.counts()
     print(result.render(f"SysNoise run — {session._label}"))

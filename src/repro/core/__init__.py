@@ -9,14 +9,13 @@ Three abstractions make the core extensible (see ``docs/api.md``):
 * :mod:`repro.core.session` — :class:`BenchmarkSession`, the fluent facade
   that owns decode caching, sweeps, and report emission.
 
-The seed-era free functions (``evaluate_classification``, ``sweep_noise``,
-``noise_row``, ...) remain as thin shims in :mod:`repro.core.benchmark`.
+Per-task evaluation is ``get_task(name).evaluate``; sweeps, rows and
+worst-case curves are :class:`SweepEngine` methods (or a session's
+:meth:`~BenchmarkSession.run` / :meth:`~BenchmarkSession.worst_case`).
 """
 
 from .analysis import (FamilySummary, family_summaries, render_family_table,
                        size_trend)
-from .benchmark import (evaluate_classification, evaluate_detection,
-                        evaluate_segmentation)
 from .cache import (DecodeCache, EvalCache, dataset_token, eval_key,
                     object_token, streams_digest)
 from .datapipe import (DataShards, Shard, dataset_subset, prefetched,
@@ -35,7 +34,6 @@ from .mitigations import (MitigationSpec, checkpoint_name, get_mitigation,
                           mitigation_stage, register_mitigation,
                           temporary_mitigation, unregister_mitigation)
 from .noise import NoiseConfig, NoiseSpec, TRAIN_CONFIG
-from .planner import INFERENCE_MODES, PlanPredictor
 from .pipeline import (apply_model_noise, decode_dataset, decode_shards,
                        normalize, preprocess, preprocess_dataset,
                        preprocess_shards)
@@ -48,8 +46,7 @@ from .registry import (CLS_NOISES, DET_NOISES, NOISE_TAXONOMY, SEG_NOISES,
 from .report import format_cell, render_curve, render_table, render_taxonomy
 from .runstore import (RunLedger, RunStore, config_digest, expected_cells,
                        ledger_table, run_info, run_manifest)
-from .session import (BenchmarkSession, NoiseResult, Session, SessionResult,
-                      noise_row, sweep_noise, worst_case_curve)
+from .session import BenchmarkSession, NoiseResult, Session, SessionResult
 from .sweep import SweepCancelled, SweepEngine
 from .tasks import (NLPDataset, TaskAdapter, evaluate_for_task,
                     evaluate_partial_for_task, get_task, register_task,
@@ -83,8 +80,6 @@ __all__ = [
     "expected_cells", "run_info",
     # integrity verification (fsck)
     "checkpoint_digest", "verify_checkpoint", "fsck_run", "fsck_store",
-    # compiled-plan inference
-    "PlanPredictor", "INFERENCE_MODES",
     # shared-run coordination + fault injection
     "WorkQueue", "Lease", "FaultRule", "FaultInjector", "FaultError",
     "fault_point", "install_faults", "uninstall_faults",
@@ -97,10 +92,9 @@ __all__ = [
     "preprocess_shards", "apply_model_noise",
     "normalize", "DecodeCache", "EvalCache", "streams_digest",
     "object_token", "dataset_token", "eval_key",
-    # legacy benchmark API (shims)
-    "NoiseResult", "evaluate_classification", "evaluate_detection",
-    "evaluate_segmentation", "sweep_noise", "noise_row", "combined_config",
-    "worst_case_curve", "CLS_NOISES", "DET_NOISES", "SEG_NOISES",
+    # sweep rows + per-task noise lists
+    "NoiseResult", "combined_config", "CLS_NOISES", "DET_NOISES",
+    "SEG_NOISES",
     # reports
     "format_cell", "render_table", "render_taxonomy", "render_curve",
     # training helpers

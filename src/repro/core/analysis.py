@@ -7,9 +7,9 @@ The paper draws three family-level conclusions from Table 2:
 3. ViTs respond to SysNoise differently from CNNs.
 
 This module turns a set of Table-2 rows (the output of
-:func:`repro.core.benchmark.noise_row` per model) into the aggregates those
-claims are about, so benchmarks and downstream users can test them instead
-of eyeballing the table.
+:meth:`repro.core.sweep.SweepEngine.noise_row`, or ``SessionResult.row()``,
+per model) into the aggregates those claims are about, so benchmarks and
+downstream users can test them instead of eyeballing the table.
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ def pairwise_interaction(evaluate, model, ds,
                          noises: list[str]) -> InteractionMatrix:
     """Measure Δ for every single noise and every unordered pair.
 
-    ``evaluate(model, ds, cfg) -> metric`` is one of the task evaluators in
-    :mod:`repro.core.benchmark`; each noise is applied at its worst-case
+    ``evaluate(model, ds, cfg) -> metric`` is a task evaluator such as
+    ``get_task(name).evaluate``; each noise is applied at its worst-case
     setting (the Fig.-3 convention), so singles here match the stacking
     study's first step sizes.
     """

@@ -375,9 +375,9 @@ class Tent(MitigationSpec):
     across workers, as long as the batch geometry is fixed (minibatches
     are cut at global offsets and shards align to the batch grid).
 
-    This is deliberately *not* the legacy ``tent_adapt`` protocol, which
-    adapts one model cumulatively over the whole dataset and is therefore
-    order- and shard-dependent; see ``docs/mitigations.md``.
+    This is deliberately *not* cumulative TENT, which adapts one model over
+    the whole dataset and is therefore order- and shard-dependent; see
+    ``docs/mitigations.md``.
 
     Deployment models without BatchNorm affine parameters (ViTs, quantised
     graphs) cannot adapt: the hook falls back to the plain prediction and

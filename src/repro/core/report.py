@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .benchmark import NoiseResult
+from .sweep import NoiseResult
 
 __all__ = ["format_cell", "render_table", "render_taxonomy", "render_curve"]
 

@@ -211,7 +211,7 @@ def run_manifest(*, task: str, model: str, seed: int, noises,
 #: ledgers from before the geometry field existed) are unaffected.
 _IDENTITY_FIELDS = ("task", "model", "seed", "noises", "skip",
                     "include_combined", "data", "eval_geometry",
-                    "mitigations", "inference")
+                    "mitigations")
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1096,14 @@ class RunStore:
         if run_id is None or run_id not in self:
             return self.create(manifest, run_id)
         ledger = self.open(run_id)
+        if ledger.manifest.get("inference", "module") != "module":
+            # Runs recorded before plan inference was removed carry the
+            # substrate in their manifest; only module cells can resume.
+            raise ValueError(
+                f"cannot resume run {run_id!r}: it was recorded with "
+                f"inference={ledger.manifest['inference']!r}, and plan "
+                f"inference has been removed (every run evaluates through "
+                f"the module forward); start a new run")
         mismatched = [f for f in _IDENTITY_FIELDS
                       if f in ledger.manifest and f in manifest
                       and ledger.manifest[f] != manifest[f]]

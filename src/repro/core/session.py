@@ -30,10 +30,9 @@ and :meth:`BenchmarkSession.store` to attach a crash-safe
 :class:`~repro.core.runstore.RunStore` ledger (interrupted runs resume by
 skipping ledger-complete evaluations).
 
-The module-level :func:`sweep_noise` / :func:`noise_row` /
-:func:`worst_case_curve` (re-exported from :mod:`repro.core.sweep`) are the
-canonical registry-driven engines; the functions of the same name in
-:mod:`repro.core.benchmark` are deprecated aliases of these.
+Callers that bring their own model, dataset and evaluator drive the
+engine directly: :meth:`SweepEngine.sweep_noise`,
+:meth:`SweepEngine.noise_row` and :meth:`SweepEngine.worst_case_curve`.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ from .mitigations import (checkpoint_name, get_mitigation,
                           mitigation_train)
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import get_noise
-from .sweep import (NoiseResult, SweepEngine, noise_row, sweep_noise,
-                    worst_case_curve)
+from .sweep import NoiseResult, SweepEngine
 from .tasks import TaskAdapter, get_task
 
 __all__ = ["NoiseResult", "BenchmarkSession", "Session", "SessionResult",
-           "SweepEngine", "sweep_noise", "noise_row", "worst_case_curve"]
+           "SweepEngine"]
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +137,6 @@ class BenchmarkSession:
         self._lease_ttl = 30.0
         self._max_claims = 3
         self._should_stop = None
-        self._inference = "module"
-        self._plan_predictor = None
         self._store = None
         self._run_id: str | None = None
         self._manifest_extra: dict = {}
@@ -231,11 +227,6 @@ class BenchmarkSession:
         if identity in self._mitigations:
             raise ValueError(f"mitigation {name!r} with these parameters is "
                              f"already on the session's axis")
-        if (self._inference == "plan"
-                and mitigation_stage(identity) == "test"):
-            raise ValueError(f"test-time mitigation {name!r} cannot combine "
-                             f"with inference='plan' (its streaming hook "
-                             f"owns the predict path)")
         self._mitigations.append(identity)
         return self
 
@@ -291,37 +282,6 @@ class BenchmarkSession:
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         self._shard_size = shard_size
-        return self
-
-    def inference(self, mode: str) -> "BenchmarkSession":
-        """Choose the inference substrate for evaluations.
-
-        ``"module"`` (default) runs the training runtime's forward;
-        ``"plan"`` runs a compiled :class:`~repro.backend.plan.ExecutionPlan`,
-        compiled once per process (see docs/performance.md).  The
-        substrates differ at float rounding level, so the mode is run
-        identity: it folds into every cache/ledger key and the run
-        manifest.  Plan inference covers cells whose config leaves the
-        model untouched; model-modifying configs (precision, ceil-mode...)
-        keep the module path per cell.
-        """
-        from .planner import INFERENCE_MODES
-        if mode not in INFERENCE_MODES:
-            raise ValueError(f"inference must be one of "
-                             f"{list(INFERENCE_MODES)}, got {mode!r}")
-        if mode == "plan":
-            bad = [m["name"] for m in self._mitigations
-                   if mitigation_stage(m) == "test"]
-            if bad:
-                raise ValueError(f"inference='plan' cannot combine with "
-                                 f"test-time mitigation(s) {bad}: their "
-                                 f"streaming hooks own the predict path")
-            if self._mode == "process":
-                raise ValueError("inference='plan' cannot use the process "
-                                 "pool: compiled plans hold bound kernels "
-                                 "that do not pickle (use mode='thread' or "
-                                 "'shared')")
-        self._inference = mode
         return self
 
     def retries(self, n: int) -> "BenchmarkSession":
@@ -619,19 +579,7 @@ class BenchmarkSession:
                            should_stop=self._should_stop,
                            lease_ttl=self._lease_ttl,
                            max_claims=self._max_claims,
-                           mitigation=mitigation,
-                           inference=self._inference,
-                           plan_predictor=(self._ensure_plan_predictor()
-                                           if self._inference == "plan"
-                                           else None))
-
-    def _ensure_plan_predictor(self):
-        """The session-wide plan predictor (one compiled plan shared by
-        every engine/row this session creates)."""
-        from .planner import PlanPredictor
-        if self._plan_predictor is None:
-            self._plan_predictor = PlanPredictor()
-        return self._plan_predictor
+                           mitigation=mitigation)
 
     def _selected_noises(self) -> list[str]:
         return list(self._noises if self._noises is not None
@@ -660,10 +608,6 @@ class BenchmarkSession:
                 # so a resume with a *different* --mitigate set is an
                 # identity mismatch, never a silent cell splice.
                 mitigations=list(self._mitigations),
-                # Inference substrate identity: plan-substrate metrics
-                # differ from module-forward ones at float rounding level,
-                # so resuming a run under the other substrate must refuse.
-                inference=self._inference,
                 **self._manifest_extra)
             self._ledger_obj = self._store.open_or_create(manifest,
                                                           self._run_id)
@@ -732,14 +676,6 @@ class BenchmarkSession:
             return functools.partial(evaluate_for_task, self._task_name,
                                      batch_size=self._batch_size,
                                      mitigation=test_mit)
-        if self._inference == "plan" and test_mit is None:
-            predictor = self._ensure_plan_predictor()
-
-            def evaluate_plan(model, ds, cfg: NoiseConfig) -> float:
-                return adapter.evaluate(model, ds, cfg, cache=self.cache,
-                                        batch_size=self._batch_size,
-                                        predict=predictor.bind(model))
-            return evaluate_plan
         if test_mit is not None:
             from .mitigations import mitigation_partials
 

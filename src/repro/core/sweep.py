@@ -24,8 +24,8 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
   :class:`~repro.core.cache.EvalCache` keyed per
   ``(model, dataset, NoiseConfig)``, so the clean ``TRAIN_CONFIG``
   evaluation happens once per (model, dataset, seed) and is reused by
-  ``sweep_noise``, every ``noise_row``, and ``worst_case_curve`` instead of
-  being recomputed per row.
+  :meth:`SweepEngine.sweep_noise`, every :meth:`SweepEngine.noise_row`, and
+  :meth:`SweepEngine.worst_case_curve` instead of being recomputed per row.
 
 * **Fault isolation** — a raising ``evaluate()`` (or a crashed process-pool
   worker) no longer aborts the sweep: the failing cell is retried up to the
@@ -51,11 +51,9 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
   results bit-identical to the monolithic path (see
   :mod:`repro.core.datapipe`).
 
-The module-level :func:`sweep_noise` / :func:`noise_row` /
-:func:`worst_case_curve` keep their historical signatures and serial
-defaults; pass ``engine=SweepEngine(workers=...)`` (or drive a
+``SweepEngine()`` is serial; construct it with ``workers=...`` (or drive a
 :class:`~repro.core.session.BenchmarkSession` with ``.workers(n)``) to
-parallelise and to share one cache across calls.
+parallelise, and reuse one engine to share its cache across calls.
 """
 
 from __future__ import annotations
@@ -78,8 +76,7 @@ from .faults import fault_point
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import combined_config, get_noise, worst_case_stack
 
-__all__ = ["NoiseResult", "SweepEngine", "SweepCancelled", "sweep_noise",
-           "noise_row", "worst_case_curve", "available_cores"]
+__all__ = ["NoiseResult", "SweepEngine", "SweepCancelled", "available_cores"]
 
 logger = logging.getLogger(__name__)
 
@@ -150,10 +147,10 @@ class NoiseResult:
 class SweepEngine:
     """Evaluates deployment-variant configs in parallel with shared caching.
 
-    ``evaluate(model, ds, cfg) -> metric`` is any task evaluator — a bound
-    :meth:`~repro.core.tasks.TaskAdapter.evaluate` or one of the legacy free
-    functions.  The engine never mutates the model: evaluators already work
-    on deployment copies, so concurrent variants are independent.
+    ``evaluate(model, ds, cfg) -> metric`` is any task evaluator, e.g. a
+    bound :meth:`~repro.core.tasks.TaskAdapter.evaluate`.  The engine never
+    mutates the model: evaluators already work on deployment copies, so
+    concurrent variants are independent.
 
     ``retries`` is the per-cell retry budget: a raising evaluation (or a
     crashed process-pool batch) is re-attempted that many extra times before
@@ -180,26 +177,10 @@ class SweepEngine:
                  shard_size: int | None = None, task: str | None = None,
                  batch_size: int | None = None, pipeline_cache=None,
                  should_stop=None, lease_ttl: float = 30.0,
-                 max_claims: int = 3, mitigation: dict | None = None,
-                 inference: str = "module", plan_predictor=None):
+                 max_claims: int = 3, mitigation: dict | None = None):
         if mode not in ("thread", "process", "shared"):
             raise ValueError(f"mode must be 'thread', 'process' or "
                              f"'shared', got {mode!r}")
-        from .planner import INFERENCE_MODES
-        if inference not in INFERENCE_MODES:
-            raise ValueError(f"inference must be one of "
-                             f"{list(INFERENCE_MODES)}, got {inference!r}")
-        if inference == "plan":
-            if mode == "process":
-                raise ValueError(
-                    "inference='plan' cannot run with mode='process': "
-                    "compiled plans hold bound kernels that do not pickle "
-                    "into worker processes; use thread or shared mode")
-            if task not in (None, "cls"):
-                raise ValueError(
-                    f"inference='plan' is only wired for task 'cls' today "
-                    f"(got task={task!r}): other adapters' streaming "
-                    f"protocols have no predict hook yet")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if shard_size is not None and shard_size < 1:
@@ -248,22 +229,6 @@ class SweepEngine:
             from .mitigations import mitigation_stage
             stage = mitigation_stage(mitigation)
             self._test_mitigation = mitigation if stage == "test" else None
-        #: Inference substrate: ``"module"`` (the training runtime's
-        #: forward) or ``"plan"`` (a compiled ExecutionPlan — see
-        #: :mod:`repro.core.planner`).  The substrates differ at float
-        #: rounding level, so the mode folds into every cache and ledger
-        #: key — plan-mode cells never splice with module-mode ones.
-        self.inference = inference
-        if inference == "plan" and self._test_mitigation is not None:
-            raise ValueError(
-                "inference='plan' cannot combine with a test-time "
-                "mitigation: the mitigation's streaming hook owns the "
-                "predict path (run the mitigation row with the default "
-                "module inference)")
-        if inference == "plan" and plan_predictor is None:
-            from .planner import PlanPredictor
-            plan_predictor = PlanPredictor()
-        self._plan_predictor = plan_predictor
         self._workqueue = None
         self._ledger_writes_failed = False
         self.eval_cache = eval_cache if eval_cache is not None else EvalCache()
@@ -309,10 +274,6 @@ class SweepEngine:
             base = eval_key(model, ds, cfg)
         except TypeError:
             return None
-        if self.inference != "module":
-            # Plan-substrate metrics differ from module-forward ones at
-            # float rounding level; never serve one for the other.
-            base = (base, "inference", self.inference)
         if self.mitigation is None:
             return base
         from .runstore import config_digest
@@ -330,15 +291,7 @@ class SweepEngine:
             return None
         from .mitigations import mitigated_digest
         model_key = self.model_key or type(model).__name__
-        digest = mitigated_digest(cfg, self.mitigation)
-        if self.inference != "module":
-            # The same folding rule as mitigations: the inference substrate
-            # is part of the cell's identity, so a plan-mode worker can
-            # never splice its cells into a module-mode run (or vice versa).
-            from .runstore import config_digest
-            digest = config_digest({"cfg": digest,
-                                    "inference": self.inference})
-        return (model_key, token, digest)
+        return (model_key, token, mitigated_digest(cfg, self.mitigation))
 
     def _ledger_hit(self, lkey) -> float | None:
         if lkey is None:
@@ -436,13 +389,6 @@ class SweepEngine:
                 self._test_mitigation, adapter, model, ds, cfg, bounds,
                 cache=self.pipeline_cache, batch_size=self.batch_size,
                 chunk_cache=chunk_cache)
-        if self.inference == "plan":
-            # The plan predict hook slots into the same per-batch seam as
-            # test-time mitigations, so shard layouts stay bit-identical.
-            return adapter.evaluate_partials(
-                model, ds, cfg, bounds, cache=self.pipeline_cache,
-                batch_size=self.batch_size, chunk_cache=chunk_cache,
-                predict=self._plan_predictor.bind(model))
         return adapter.evaluate_partials(model, ds, cfg, bounds,
                                          cache=self.pipeline_cache,
                                          batch_size=self.batch_size,
@@ -1351,44 +1297,3 @@ def _process_eval_shard(cfg: NoiseConfig, start: int, stop: int) -> dict:
     return evaluate_partial_for_task(task, w["model"], w["ds"], cfg,
                                      start, stop, batch_size=batch_size,
                                      mitigation=mitigation)
-
-
-# ---------------------------------------------------------------------------
-# Module-level engines (historical signatures; serial, per-call cache)
-# ---------------------------------------------------------------------------
-
-def _default_engine(engine: SweepEngine | None) -> SweepEngine:
-    return engine if engine is not None else SweepEngine()
-
-
-def sweep_noise(evaluate, model, ds, noise: str,
-                baseline: float | None = None, *,
-                engine: SweepEngine | None = None) -> NoiseResult:
-    """Evaluate every deployment variant of one registered noise type.
-
-    ``evaluate(model, ds, cfg) -> metric`` is any task evaluator — a bound
-    :meth:`TaskAdapter.evaluate` or one of the legacy free functions.
-    """
-    return _default_engine(engine).sweep_noise(evaluate, model, ds, noise,
-                                               baseline)
-
-
-def noise_row(evaluate, model, ds, noises,
-              skip: set[str] = frozenset(),
-              include_combined: bool = True, *,
-              engine: SweepEngine | None = None) -> dict:
-    """One table row: baseline metric + per-noise Δ stats (+ combined).
-
-    ``skip`` marks noise types inapplicable to this architecture (e.g.
-    ceil mode on pool-free models), reported as None like the paper's "-".
-    """
-    return _default_engine(engine).noise_row(evaluate, model, ds, noises,
-                                             skip, include_combined)
-
-
-def worst_case_curve(evaluate, model, ds, noises, *,
-                     engine: SweepEngine | None = None
-                     ) -> list[tuple[str, float]]:
-    """Fig. 3: cumulative Δ as noises are stacked one at a time."""
-    return _default_engine(engine).worst_case_curve(evaluate, model, ds,
-                                                    noises)

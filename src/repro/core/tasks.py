@@ -346,25 +346,13 @@ class ClassificationAdapter(_ImageStreamMixin, TaskAdapter):
     def evaluate(self, model, ds, cfg: NoiseConfig = TRAIN_CONFIG, *,
                  cache: DecodeCache | None = None,
                  batch_size: int | None = None,
-                 shard_size: int | None = None,
-                 predict=None) -> float:
+                 shard_size: int | None = None) -> float:
         if shard_size is not None:
             return self.evaluate_streaming(model, ds, cfg, cache=cache,
                                            batch_size=batch_size,
                                            shard_size=shard_size)
         x = preprocess_dataset(ds.streams, ds.input_size, cfg, cache)
         noised = self._prepare(model, ds, cfg, cache)
-        if predict is not None:
-            # Same hook as evaluate_partials: batches cut every ``batch``
-            # items from offset 0 — the global grid — so monolithic and
-            # sharded evaluations of a predict-hooked cell agree bitwise.
-            noised.eval()
-            acc = self.accumulator(ds)
-            batch = self._batch(batch_size) or len(x)
-            for s in range(0, len(x), batch):
-                acc.update(predict(noised, x[s:s + batch]),
-                           ds.labels[s:s + batch])
-            return acc.value()
         return evaluate_classifier(noised, x, ds.labels,
                                    batch_size=self._batch(batch_size))
 

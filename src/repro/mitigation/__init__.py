@@ -3,22 +3,20 @@
 These implementations back the registered mitigation specs in
 :mod:`repro.core.mitigations`; drive them through
 ``BenchmarkSession.mitigate(name, **params)`` (or ``repro run --mitigate``)
-to get ledgered, resumable, multi-worker-safe results.  The pre-registry
-direct-call entry points (``train_with_mix``, ``adversarial_train``,
-``tent_adapt``, ``evaluate_with_tent``) still work but emit a
-``DeprecationWarning`` at call time; the primitives
-(``cross_variant_matrix``, ``AUGMENTATIONS``, ``get_augmentation``,
-``pgd_attack``, ``tent_episode``) are not deprecated.
+to get ledgered, resumable, multi-worker-safe results.  The primitives
+exported here (``cross_variant_matrix``, ``AUGMENTATIONS``,
+``get_augmentation``, ``pgd_attack``, ``tent_episode``) are the building
+blocks the specs and the benchmark tables use directly.
 """
 
-from .adversarial import adversarial_train, pgd_attack
+from .adversarial import pgd_attack
 from .augment import AUGMENTATIONS, get_augmentation
-from .mix_training import cross_variant_matrix, train_with_mix
-from .tent import TentResult, evaluate_with_tent, tent_adapt, tent_episode
+from .mix_training import cross_variant_matrix
+from .tent import TentResult, tent_episode
 
 __all__ = [
-    "train_with_mix", "cross_variant_matrix",
+    "cross_variant_matrix",
     "AUGMENTATIONS", "get_augmentation",
-    "pgd_attack", "adversarial_train",
-    "tent_adapt", "evaluate_with_tent", "tent_episode", "TentResult",
+    "pgd_attack",
+    "tent_episode", "TentResult",
 ]

@@ -13,9 +13,7 @@ import repro.nn as nn
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-from ._compat import warn_deprecated
-
-__all__ = ["pgd_attack", "adversarial_train"]
+__all__ = ["pgd_attack"]
 
 
 def pgd_attack(model: nn.Module, x: np.ndarray, y: np.ndarray,
@@ -31,19 +29,6 @@ def pgd_attack(model: nn.Module, x: np.ndarray, y: np.ndarray,
         x_adv = x_adv + alpha * np.sign(xt.grad)
         x_adv = np.clip(x_adv, x - epsilon, x + epsilon)
     return x_adv
-
-
-def adversarial_train(model: nn.Module, x: np.ndarray, y: np.ndarray,
-                      cfg: nn.TrainConfig | None = None,
-                      epsilon: float = 8 / 255, pgd_steps: int = 3) -> nn.Module:
-    """Madry-style adversarial training (see :func:`_adversarial_train`).
-
-    .. deprecated:: use the registered ``adversarial`` mitigation via
-       ``BenchmarkSession.mitigate('adversarial', ...)``.
-    """
-    warn_deprecated("adversarial_train",
-                    "BenchmarkSession.mitigate('adversarial', ...)")
-    return _adversarial_train(model, x, y, cfg, epsilon, pgd_steps)
 
 
 def _adversarial_train(model: nn.Module, x: np.ndarray, y: np.ndarray,

@@ -21,9 +21,8 @@ from ..core.noise import TRAIN_CONFIG
 from ..core.pipeline import preprocess_dataset
 from ..data.imagenet import ClassificationDataset
 from ..models import create_model
-from ._compat import warn_deprecated
 
-__all__ = ["train_with_mix", "cross_variant_matrix"]
+__all__ = ["cross_variant_matrix"]
 
 
 def _train_with_mix(model_name: str, ds: ClassificationDataset,
@@ -83,26 +82,6 @@ def _train_with_mix(model_name: str, ds: ClassificationDataset,
             sched.step()
     model.eval()
     return model
-
-
-def train_with_mix(model_name: str, ds: ClassificationDataset,
-                   decoders: list[str] | None = None,
-                   resizes: list[str] | None = None,
-                   colors: list[str | None] | None = None,
-                   cfg: nn.TrainConfig | None = None, seed: int = 0,
-                   model=None):
-    """Algorithm 1 mix training (see :func:`_train_with_mix`).
-
-    .. deprecated:: use the registered ``mix`` mitigation via
-       ``BenchmarkSession.mitigate('mix', ...)`` — it ledgers the trained
-       weights under a mitigation-keyed checkpoint and folds the mix
-       identity into every evaluated cell.
-    """
-    warn_deprecated("train_with_mix",
-                    "BenchmarkSession.mitigate('mix', ...)")
-    return _train_with_mix(model_name, ds, decoders=decoders,
-                           resizes=resizes, colors=colors, cfg=cfg,
-                           seed=seed, model=model)
 
 
 def cross_variant_matrix(models: dict[str, nn.Module], ds: ClassificationDataset,

@@ -12,10 +12,7 @@ copy of the model on one batch of inputs and returns a :class:`TentResult`
 that says *whether adaptation actually happened* — a model without
 BatchNorm affine parameters (a ViT, a quantised deployment graph) cannot
 adapt, and the explicit ``adapted=False`` stops such a no-op from
-masquerading as a TENT measurement.  The pre-registry ``tent_adapt`` /
-``evaluate_with_tent`` functions survive as deprecation-warning shims with
-their original semantics (including silently returning the input model
-when nothing adapts).
+masquerading as a TENT measurement.
 """
 
 from __future__ import annotations
@@ -30,9 +27,7 @@ import repro.nn as nn
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-from ._compat import warn_deprecated
-
-__all__ = ["TentResult", "tent_episode", "tent_adapt", "evaluate_with_tent"]
+__all__ = ["TentResult", "tent_episode"]
 
 _log = logging.getLogger(__name__)
 
@@ -119,31 +114,3 @@ def tent_episode(model: nn.Module, x: np.ndarray, steps: int = 1,
     unchanged (logged once per process).
     """
     return _adapt(model, x, steps, lr, batch_size=max(len(x), 1))
-
-
-def tent_adapt(model: nn.Module, x: np.ndarray, steps: int = 1,
-               lr: float = 1e-3, batch_size: int = 32) -> nn.Module:
-    """Return a TENT-adapted copy of ``model`` for the given test inputs.
-
-    .. deprecated:: use :func:`tent_episode` (or the registered ``tent``
-       mitigation via ``BenchmarkSession.mitigate``) — this cumulative
-       whole-dataset protocol is order-dependent, and its no-BN fallback
-       silently returns the original model.
-    """
-    warn_deprecated("tent_adapt", "tent_episode or "
-                    "BenchmarkSession.mitigate('tent', ...)")
-    return _adapt(model, x, steps, lr, batch_size).model
-
-
-def evaluate_with_tent(model: nn.Module, x: np.ndarray, y: np.ndarray,
-                       steps: int = 1, lr: float = 1e-3) -> float:
-    """Top-1 accuracy (percent) after TENT adaptation on the test inputs.
-
-    .. deprecated:: use the registered ``tent`` mitigation via
-       ``BenchmarkSession.mitigate('tent', ...)``.
-    """
-    from repro.nn import evaluate_classifier
-    warn_deprecated("evaluate_with_tent",
-                    "BenchmarkSession.mitigate('tent', ...)")
-    adapted = _adapt(model, x, steps, lr, batch_size=32).model
-    return evaluate_classifier(adapted, x, y)

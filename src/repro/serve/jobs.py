@@ -76,12 +76,21 @@ class JobSpec:
 
     FIELDS = ("kind", "task", "model", "n", "train_frac", "epochs", "seed",
               "noises", "include_combined", "batch_size", "shard_size",
-              "workers", "mode", "retries", "deadline", "mitigation",
-              "inference")
+              "workers", "mode", "retries", "deadline", "mitigation")
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise ValidationError("job spec must be a JSON object")
+        # Specs stored before plan inference was removed carry
+        # "inference": "module"; that is what every job now runs, so the
+        # key is dropped and such jobs still recover after an upgrade.
+        inference = doc.get("inference", "module")
+        if inference != "module":
+            raise ValidationError(f"inference={inference!r} is not "
+                                  f"accepted: plan inference has been "
+                                  f"removed, and every job evaluates "
+                                  f"through the module forward")
+        doc = {k: v for k, v in doc.items() if k != "inference"}
         unknown = sorted(set(doc) - set(self.FIELDS))
         if unknown:
             raise ValidationError(f"unknown spec field(s) {unknown}; "
@@ -130,17 +139,6 @@ class JobSpec:
             raise ValidationError(f"mode must be 'thread' or 'process', "
                                   f"got {self.mode!r}")
         self.retries = self._int(doc, "retries", 0, lo=0, hi=16)
-        # Inference substrate: "plan" compiles the model to an execution
-        # plan once per process.  Run identity — it folds into the ledger
-        # keys, so it is part of the job digest.
-        self.inference = doc.get("inference", "module")
-        if self.inference not in ("module", "plan"):
-            raise ValidationError(f"inference must be 'module' or 'plan', "
-                                  f"got {self.inference!r}")
-        if self.inference == "plan" and self.mode == "process":
-            raise ValidationError("inference='plan' cannot use the process "
-                                  "pool: compiled plans hold bound kernels "
-                                  "that do not pickle (use mode='thread')")
         # Per-job wall-clock budget (seconds).  None defers to the
         # manager's default; checked by the watchdog at cell granularity
         # (a deadline that expires mid-training fires at the first sweep
@@ -242,7 +240,6 @@ class JobSpec:
                 "fit": {"epochs": self.epochs}, "workers": self.workers,
                 "mode": self.mode, "batch_size": self.batch_size,
                 "shard_size": self.shard_size, "retries": self.retries,
-                "inference": self.inference,
                 "mitigate": list(self.mitigation_raw)}
 
 
@@ -466,7 +463,6 @@ class JobManager:
             eval_geometry={"batch_size": spec.batch_size,
                            "shard_size": spec.shard_size},
             mitigations=list(spec.mitigation),
-            inference=spec.inference,
             data=spec.data_kw(), cli=spec.cli_block(),
             serve={"spec": spec.normalized(), "digest": spec.digest(),
                    "submitted": time.time(), "client": client})
@@ -753,7 +749,6 @@ class JobManager:
                    .batch(spec.batch_size)
                    .shards(spec.shard_size)
                    .retries(spec.retries)
-                   .inference(spec.inference)
                    .model(spec.model)
                    .data(**spec.data_kw())
                    .noises(*spec.noises)

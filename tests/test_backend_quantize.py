@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend import (ReferenceExecutor, backend_diff, calibrate_ranges,
                            export_module, infer_shapes, quantize_graph)
-from repro.models import create_model
+from repro.models import MODEL_ZOO, create_model
 
 RNG = np.random.default_rng(31)
 X = RNG.normal(size=(8, 3, 32, 32))
@@ -40,6 +40,15 @@ class TestQuantizeGraph:
         assert sum(n.op == "dequantize_linear" for n in q.nodes) == n_targets
         assert len(q.nodes) == len(g.nodes) + 2 * n_targets
         q.validate()
+
+    @pytest.mark.parametrize("name", [s.name for s in MODEL_ZOO])
+    def test_every_initializer_is_read(self, name):
+        """A float weight replaced by its ``.int8`` copy is not kept."""
+        g = fp32_graph(name)
+        q = quantize_graph(g, X[:2])
+        read = {v for node in q.nodes for v in node.inputs}
+        assert set(q.initializers) <= read
+        assert q.num_parameters() == g.num_parameters()
 
     def test_fp32_graph_untouched(self):
         g = fp32_graph()

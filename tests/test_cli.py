@@ -247,3 +247,74 @@ class TestExportInt8:
         graph = load_graph(out)
         assert any(n.op == "quantize_linear" for n in graph.nodes)
         assert graph.name.endswith(".int8")
+
+    def test_export_int8_counts_only_live_weights(self, capsys, tmp_path):
+        """Each float weight's INT8 copy replaces it: the count is the
+        model's own (mcunet-293kb has 1254 parameters)."""
+        code, out = run_cli(capsys, "export", "--model", "mcunet-293kb",
+                            "--out", str(tmp_path / "q.npz"), "--int8")
+        assert code == 0
+        assert "1254 params" in out
+
+
+# ---------------------------------------------------------------------------
+# Run directories recorded before plan inference was removed
+# ---------------------------------------------------------------------------
+
+RUN_ARGS = ("--run-id", "r", "--model", "mcunet-293kb", "--n", "24",
+            "--epochs", "1", "--noises", "resize,precision", "--no-combined")
+
+
+def record_inference(run_dir, inference: str) -> None:
+    """Give a CLI run's manifest the shape older runs carry: the inference
+    substrate at the top level and in ``cli``."""
+    import json
+    path = run_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["inference"] = doc["cli"]["inference"] = inference
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def ledger_values(store) -> dict:
+    from repro.core import RunStore
+    return {(e["model"], e["dataset"], e["cfg"]): e["value"]
+            for e in RunStore(store).open("r").entries()
+            if e["kind"] == "eval" and e["status"] == "ok"}
+
+
+class TestOldRunManifests:
+    def test_module_run_resumes_and_takes_workers(self, capsys, tmp_path):
+        fresh = tmp_path / "fresh"
+        assert run_cli(capsys, "run", "--store", str(fresh), *RUN_ARGS)[0] == 0
+        for store, command in ((tmp_path / "w", "worker"),
+                               (tmp_path / "s", "resume")):
+            code, _ = run_cli(capsys, "run", "--store", str(store), *RUN_ARGS,
+                              "--prepare-only")
+            assert code == 0
+            record_inference(store / "r", "module")
+            code, out = run_cli(capsys, command, "r", "--store", str(store))
+            assert code == 0, out
+            values = ledger_values(store)
+            assert values and values == ledger_values(fresh)
+
+    def test_plan_run_is_refused_by_resume_and_worker(self, capsys,
+                                                       tmp_path):
+        """Plan cells were computed on another substrate: both commands
+        refuse the run, touch nothing, and fsck and report still read it."""
+        assert run_cli(capsys, "run", "--store", str(tmp_path), *RUN_ARGS,
+                       "--prepare-only")[0] == 0
+        run_dir = tmp_path / "r"
+        record_inference(run_dir, "plan")
+        before = {p: p.read_bytes() for p in sorted(run_dir.rglob("*"))
+                  if p.is_file()}
+        for command in ("resume", "worker"):
+            code, out = run_cli(capsys, command, "r", "--store",
+                                str(tmp_path))
+            assert code == 2
+            assert out.startswith("error:") and "plan" in out
+        after = {p: p.read_bytes() for p in sorted(run_dir.rglob("*"))
+                 if p.is_file()}
+        assert after == before
+        assert run_cli(capsys, "fsck", "r", "--store", str(tmp_path))[0] == 0
+        assert run_cli(capsys, "report", "--store", str(tmp_path),
+                       "--run", "r")[0] == 0

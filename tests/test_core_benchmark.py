@@ -1,19 +1,25 @@
-"""Integration tests for the benchmark drivers (small, fast settings)."""
+"""Integration tests for the benchmark drivers (small, fast settings).
+
+Per-task metrics come from ``get_task(name).evaluate``; sweeps, rows and
+worst-case curves from a serial :class:`SweepEngine`.
+"""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.core import (CLS_NOISES, TRAIN_CONFIG, NoiseResult,
-                        evaluate_classification, evaluate_detection,
-                        evaluate_segmentation, noise_row, render_curve,
-                        render_table, sweep_noise, train_classification_model,
-                        train_detection_model, train_segmentation_model,
-                        worst_case_curve)
+from repro.core import (TRAIN_CONFIG, NoiseResult, SweepEngine, get_task,
+                        render_curve, render_table,
+                        train_classification_model, train_detection_model,
+                        train_segmentation_model)
 from repro.data import (make_classification_dataset, make_detection_dataset,
                         make_segmentation_dataset)
 from repro.detection import RetinaNetLite
 from repro.segmentation import UNetLite
+
+evaluate_cls = get_task("cls").evaluate
+evaluate_det = get_task("det").evaluate
+evaluate_seg = get_task("seg").evaluate
 
 
 @pytest.fixture(scope="module")
@@ -41,38 +47,40 @@ class TestNoiseResult:
 class TestClassificationBenchmark:
     def test_clean_accuracy_reasonable(self, cls_setup):
         model, val = cls_setup
-        acc = evaluate_classification(model, val, TRAIN_CONFIG)
+        acc = evaluate_cls(model, val, TRAIN_CONFIG)
         assert acc > 40.0
 
     def test_sweep_decoder_has_three_variants(self, cls_setup):
         model, val = cls_setup
-        res = sweep_noise(evaluate_classification, model, val, "decoder")
+        res = SweepEngine().sweep_noise(evaluate_cls, model, val, "decoder")
         assert len(res.values) == 3
 
     def test_noise_row_structure(self, cls_setup):
         model, val = cls_setup
-        row = noise_row(evaluate_classification, model, val,
-                        ["decoder", "precision"], include_combined=True)
+        row = SweepEngine().noise_row(evaluate_cls, model, val,
+                                      ["decoder", "precision"],
+                                      include_combined=True)
         assert set(row["noises"]) == {"decoder", "precision"}
         assert isinstance(row["combined"], float)
 
     def test_skip_marks_none(self, cls_setup):
         model, val = cls_setup
-        row = noise_row(evaluate_classification, model, val,
-                        ["decoder", "ceil_mode"], skip={"ceil_mode"},
-                        include_combined=False)
+        row = SweepEngine().noise_row(evaluate_cls, model, val,
+                                      ["decoder", "ceil_mode"],
+                                      skip={"ceil_mode"},
+                                      include_combined=False)
         assert row["noises"]["ceil_mode"] is None
 
     def test_worst_case_curve_monotone_config_growth(self, cls_setup):
         model, val = cls_setup
-        curve = worst_case_curve(evaluate_classification, model, val,
-                                 ["resize", "precision"])
+        curve = SweepEngine().worst_case_curve(evaluate_cls, model, val,
+                                               ["resize", "precision"])
         assert [n for n, _ in curve] == ["resize", "precision"]
 
     def test_render_table_contains_row(self, cls_setup):
         model, val = cls_setup
-        row = noise_row(evaluate_classification, model, val, ["color"],
-                        include_combined=False)
+        row = SweepEngine().noise_row(evaluate_cls, model, val, ["color"],
+                                      include_combined=False)
         text = render_table({"resnet18x0.5": row}, ["color"], "ACC", "t")
         assert "resnet18x0.5" in text
 
@@ -95,20 +103,20 @@ class TestDetectionBenchmark:
 
     def test_detector_trained_via_pipeline(self, det_setup):
         model, val = det_setup
-        mAP = evaluate_detection(model, val, TRAIN_CONFIG)
+        mAP = evaluate_det(model, val, TRAIN_CONFIG)
         assert mAP > 3.0
 
     def test_proposal_noise_changes_map(self, det_setup):
         model, val = det_setup
-        base = evaluate_detection(model, val, TRAIN_CONFIG)
-        off = evaluate_detection(model, val,
-                                 TRAIN_CONFIG.with_(aligned_offset=1.0))
+        base = evaluate_det(model, val, TRAIN_CONFIG)
+        off = evaluate_det(model, val,
+                           TRAIN_CONFIG.with_(aligned_offset=1.0))
         assert base != off
 
     def test_upsample_noise_evaluates(self, det_setup):
         model, val = det_setup
-        noised = evaluate_detection(model, val,
-                                    TRAIN_CONFIG.with_(upsample_mode="bilinear"))
+        noised = evaluate_det(model, val,
+                              TRAIN_CONFIG.with_(upsample_mode="bilinear"))
         assert 0.0 <= noised <= 100.0
 
 
@@ -125,23 +133,23 @@ class TestSegmentationBenchmark:
 
     def test_miou_reasonable(self, seg_setup):
         model, val = seg_setup
-        miou = evaluate_segmentation(model, val, TRAIN_CONFIG)
+        miou = evaluate_seg(model, val, TRAIN_CONFIG)
         assert miou > 30.0
 
     def test_upsample_flip_changes_miou(self, seg_setup):
         model, val = seg_setup
-        base = evaluate_segmentation(model, val, TRAIN_CONFIG)
-        flip = evaluate_segmentation(model, val,
-                                     TRAIN_CONFIG.with_(upsample_mode="bilinear"))
+        base = evaluate_seg(model, val, TRAIN_CONFIG)
+        flip = evaluate_seg(model, val,
+                            TRAIN_CONFIG.with_(upsample_mode="bilinear"))
         assert base != flip
 
     def test_decoder_noise_smaller_than_upsample(self, seg_setup):
         """Paper Table 4: decode Δ ≈ 0, upsample Δ dominates for segmentation."""
         model, val = seg_setup
-        base = evaluate_segmentation(model, val, TRAIN_CONFIG)
-        dec = min(abs(base - evaluate_segmentation(
+        base = evaluate_seg(model, val, TRAIN_CONFIG)
+        dec = min(abs(base - evaluate_seg(
             model, val, TRAIN_CONFIG.with_(decoder=d)))
             for d in ("pil", "opencv", "ffmpeg"))
-        ups = abs(base - evaluate_segmentation(
+        ups = abs(base - evaluate_seg(
             model, val, TRAIN_CONFIG.with_(upsample_mode="bilinear")))
         assert dec <= ups + 1.0

@@ -500,3 +500,61 @@ class TestRunStatusReplay:
         assert listing["good"]["status"] == "pending"
         assert listing["bad"]["status"] == "unreadable"
         assert "error" in listing["bad"]
+
+
+# ---------------------------------------------------------------------------
+# Runs recorded before plan inference was removed
+# ---------------------------------------------------------------------------
+
+def record_inference(run_dir, inference: str) -> None:
+    """Give a manifest the shape older runs carry: the inference substrate
+    at the top level (CLI runs also repeat it in ``cli``)."""
+    path = run_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["inference"] = inference
+    if "cli" in doc:
+        doc["cli"]["inference"] = inference
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def tree_bytes(root) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOldInferenceManifests:
+    def session(self):
+        from repro.core import BenchmarkSession
+        return (BenchmarkSession().task("cls").model("mcunet-293kb").seed(0)
+                .data(n=24, train_frac=0.5).noises("resize")
+                .combined(False))
+
+    def test_module_run_resumes_with_fresh_values(self, tmp_path):
+        first = self.session().store(tmp_path / "old", run_id="r")
+        first.run()
+        record_inference(tmp_path / "old" / "r", "module")
+        resumed = self.session().store(tmp_path / "old", run_id="r")
+        before = resumed.ledger.counts()
+        row = resumed.run().row()
+        assert resumed.ledger.counts() == before    # every cell restored
+        fresh = self.session().store(tmp_path / "fresh").run().row()
+        assert row["trained"] == fresh["trained"]
+        assert (row["noises"]["resize"].values
+                == fresh["noises"]["resize"].values)
+
+    def test_plan_run_is_refused_and_left_unchanged(self, tmp_path):
+        from repro.core import fsck_run
+        self.session().store(tmp_path, run_id="r").run()
+        run_dir = tmp_path / "r"
+        record_inference(run_dir, "plan")
+        before = tree_bytes(run_dir)
+        with pytest.raises(ValueError, match="plan inference has been "
+                                             "removed"):
+            RunStore(tmp_path).open_or_create(
+                RunStore(tmp_path).read_manifest("r"), run_id="r")
+        session = self.session().store(tmp_path, run_id="r")
+        with pytest.raises(ValueError, match="inference='plan'"):
+            session.run()
+        assert tree_bytes(run_dir) == before
+        assert fsck_run(run_dir)["ok"]
+        assert RunStore(tmp_path).open("r").counts()["ok"] > 0

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (TRAIN_CONFIG, EvalCache, NoiseConfig, SweepEngine,
-                        eval_key, noise_row, object_token, sweep_noise,
-                        worst_case_curve)
+                        eval_key, object_token)
 from repro.core.cache import DecodeCache, dataset_token
 
 
@@ -221,15 +220,6 @@ class TestSweepEngine:
             CountingEvaluator(), model, ds, ["resize", "decoder"])
         assert [name for name, _ in curve] == ["decoder", "resize"]
         assert all(isinstance(delta, float) for _, delta in curve)
-
-    def test_module_level_functions_still_serial(self, model, ds):
-        ev = CountingEvaluator()
-        result = sweep_noise(ev, model, ds, "decoder")
-        assert len(result.values) == 3
-        row = noise_row(ev, model, ds, ["decoder"], include_combined=False)
-        assert set(row["noises"]) == {"decoder"}
-        curve = worst_case_curve(ev, model, ds, ["decoder"])
-        assert len(curve) == 1
 
 
 class TestDecodeCachePreproc:

@@ -1,15 +1,22 @@
-"""Tests for the mitigation module: mix training, augmentations, PGD, TENT."""
+"""Tests for the mitigation module: mix training, augmentations, PGD, TENT.
+
+Training mechanisms are driven through the private helpers the registered
+specs call (``_train_with_mix``, ``_adversarial_train``) so each test can
+set its own training config; TENT through ``tent_episode`` and the
+registered ``tent`` spec.
+"""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.core import TRAIN_CONFIG, preprocess_dataset
+from repro.core import TRAIN_CONFIG, get_task, preprocess_dataset
+from repro.core.mitigations import mitigation_identity, mitigation_partials
 from repro.data import make_classification_dataset
-from repro.mitigation import (AUGMENTATIONS, adversarial_train,
-                              cross_variant_matrix, evaluate_with_tent,
-                              get_augmentation, pgd_attack, tent_adapt,
-                              train_with_mix)
+from repro.mitigation import (AUGMENTATIONS, cross_variant_matrix,
+                              get_augmentation, pgd_attack, tent_episode)
+from repro.mitigation.adversarial import _adversarial_train
+from repro.mitigation.mix_training import _train_with_mix
 from repro.models import create_model
 from repro.nn import Tensor
 
@@ -75,9 +82,9 @@ class TestPGD:
         x = preprocess_dataset(small_ds.streams, 32, TRAIN_CONFIG)
         y = small_ds.labels
         model = create_model("resnet18x0.25", num_classes=10, seed=0)
-        adversarial_train(model, x, y,
-                          nn.TrainConfig(epochs=8, batch_size=32, lr=0.05),
-                          epsilon=8 / 255, pgd_steps=2)
+        _adversarial_train(model, x, y,
+                           nn.TrainConfig(epochs=8, batch_size=32, lr=0.05),
+                           epsilon=8 / 255, pgd_steps=2)
         adv = pgd_attack(model, x[:32], y[:32], epsilon=8 / 255, steps=3)
         fresh = create_model("resnet18x0.25", num_classes=10, seed=5)
         assert (evaluate_classifier(model, adv, y[:32])
@@ -88,7 +95,9 @@ class TestTENT:
     def test_adapts_only_bn_affine(self, trained_cnn, small_ds):
         x = preprocess_dataset(small_ds.streams[:32], 32, TRAIN_CONFIG)
         before = trained_cnn.state_dict()
-        adapted = tent_adapt(trained_cnn, x, steps=1, lr=1e-2)
+        res = tent_episode(trained_cnn, x, steps=1, lr=1e-2)
+        assert res.adapted
+        adapted = res.model
         after_orig = trained_cnn.state_dict()
         for k in before:      # original untouched
             np.testing.assert_array_equal(before[k], after_orig[k])
@@ -102,12 +111,19 @@ class TestTENT:
     def test_model_without_bn_returned_unchanged(self, small_ds):
         vit = create_model("vit-tiny", num_classes=10, seed=0)
         x = preprocess_dataset(small_ds.streams[:16], 32, TRAIN_CONFIG)
-        assert tent_adapt(vit, x) is vit
+        res = tent_episode(vit, x)
+        assert not res.adapted and res.model is vit
 
     def test_evaluate_with_tent_runs(self, trained_cnn, small_ds):
-        x = preprocess_dataset(small_ds.streams[:64], 32, TRAIN_CONFIG)
-        acc = evaluate_with_tent(trained_cnn, x, small_ds.labels[:64])
-        assert 0.0 <= acc <= 100.0
+        """The registered ``tent`` spec scores 64 images in two batches."""
+        adapter = get_task("cls")
+        ds = small_ds.split(64)[0]
+        acc = adapter.accumulator(ds)
+        for _, _, part in mitigation_partials(
+                mitigation_identity("tent"), adapter, trained_cnn, ds,
+                TRAIN_CONFIG, [(0, 64)], batch_size=32):
+            acc.merge(part)
+        assert 0.0 <= acc.value() <= 100.0
 
 
 class TestMixTraining:
@@ -117,10 +133,10 @@ class TestMixTraining:
                                          seed=0)
         resizes = ["pillow-bilinear", "pillow-nearest", "cv-bilinear",
                    "cv-nearest"]
-        fixed = train_with_mix(
+        fixed = _train_with_mix(
             "resnet18x0.25", ds, resizes=None,
             cfg=nn.TrainConfig(epochs=30, batch_size=32, lr=0.1))
-        mixed = train_with_mix(
+        mixed = _train_with_mix(
             "resnet18x0.25", ds, resizes=resizes,
             cfg=nn.TrainConfig(epochs=30, batch_size=32, lr=0.1))
         table = cross_variant_matrix({"fixed": fixed, "mix": mixed},
@@ -145,9 +161,9 @@ class TestMixColorAxis:
         ds = make_classification_dataset(n=60, native_size=48, input_size=24,
                                          seed=3)
         cfg = TrainConfig(epochs=4, batch_size=16, lr=0.08)
-        mixed = train_with_mix("mcunet-293kb", ds,
-                               colors=[None, "nv12-integer", "yuv444-float"],
-                               cfg=cfg, seed=0)
+        mixed = _train_with_mix("mcunet-293kb", ds,
+                                colors=[None, "nv12-integer", "yuv444-float"],
+                                cfg=cfg, seed=0)
         # The mixed model evaluates under both direct RGB and NV12 inputs.
         for color in (None, "nv12-integer"):
             x = preprocess_dataset(ds.streams, ds.input_size,

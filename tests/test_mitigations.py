@@ -4,7 +4,9 @@ PR 9 promotes mitigations to first-class citizens.  This suite pins the
 three contracts that migration must not break:
 
 1. **Parity** — training/evaluating through the registered hooks is
-   bit-identical to the legacy direct-call API (which now only warns).
+   bit-identical to calling the mechanisms they wrap directly (the
+   private ``_train_with_mix`` / ``_adversarial_train`` helpers, the
+   augmentation transform, TENT's ``_adapt``).
 2. **Sweep determinism** — mitigated sweeps return the same bytes in
    serial, process and shared modes, and the episodic TENT protocol is
    invariant to how the dataset is sharded (at fixed batch geometry).
@@ -31,9 +33,10 @@ from repro.core.mitigations import (MitigationSpec, checkpoint_name,
                                     temporary_mitigation)
 from repro.core.runstore import expected_cells
 from repro.data import make_classification_dataset
-from repro.mitigation import (adversarial_train, evaluate_with_tent,
-                              get_augmentation, tent_adapt, train_with_mix)
-from repro.mitigation.tent import tent_episode
+from repro.mitigation import get_augmentation
+from repro.mitigation.adversarial import _adversarial_train
+from repro.mitigation.mix_training import _train_with_mix
+from repro.mitigation.tent import _adapt, tent_episode
 from repro.models import create_model
 
 
@@ -164,7 +167,7 @@ class TestIdentityDigests:
 
 
 # ---------------------------------------------------------------------------
-# legacy-API parity
+# registered spec vs the mechanism it wraps
 
 
 class TestLegacyParity:
@@ -172,9 +175,8 @@ class TestLegacyParity:
         pool = ["pillow-bilinear", "cv-nearest"]
         cfg = nn.TrainConfig(epochs=2, batch_size=32, lr=0.08,
                              weight_decay=1e-4, seed=0)
-        with pytest.warns(DeprecationWarning):
-            legacy = train_with_mix("resnet18x0.25", small_ds,
-                                    resizes=pool, cfg=cfg, seed=0)
+        legacy = _train_with_mix("resnet18x0.25", small_ds, resizes=pool,
+                                 cfg=cfg, seed=0)
         new = mitigation_train(mitigation_identity("mix", resizes=pool),
                                None, None, small_ds,
                                model_name="resnet18x0.25", seed=0, epochs=2)
@@ -204,9 +206,8 @@ class TestLegacyParity:
         legacy = build()
         x = preprocess_dataset(small_ds.streams, small_ds.input_size,
                                TRAIN_CONFIG)
-        with pytest.warns(DeprecationWarning):
-            adversarial_train(legacy, x, small_ds.labels, cfg,
-                              epsilon=8 / 255, pgd_steps=1)
+        _adversarial_train(legacy, x, small_ds.labels, cfg,
+                           epsilon=8 / 255, pgd_steps=1)
         new = mitigation_train(
             mitigation_identity("adversarial", pgd_steps=1), None, build(),
             small_ds, seed=0, epochs=2)
@@ -214,21 +215,23 @@ class TestLegacyParity:
 
     def test_tent_episode_matches_legacy_on_single_batch(self, trained_cnn,
                                                          small_ds):
-        """Anchor: when the whole input is one batch, episodic == legacy."""
-        x = preprocess_dataset(small_ds.streams[:16], 32, TRAIN_CONFIG)
-        with pytest.warns(DeprecationWarning):
-            legacy = tent_adapt(trained_cnn, x, steps=2, lr=1e-2,
-                                batch_size=len(x))
-        res = tent_episode(trained_cnn, x, steps=2, lr=1e-2)
+        """Anchor: when the whole input is one batch, the registered spec
+        scores exactly the model TENT's mechanism adapts on that batch."""
+        from repro.core import Accuracy
+        from repro.nn import Tensor, no_grad
+        ds = small_ds.split(16)[0]
+        x = preprocess_dataset(ds.streams, 32, TRAIN_CONFIG)
+        res = _adapt(trained_cnn, x, 2, 1e-2, batch_size=len(x))
         assert res.adapted
-        _same_weights(legacy, res.model)
-
-    def test_evaluate_with_tent_still_works_but_warns(self, trained_cnn,
-                                                      small_ds):
-        x = preprocess_dataset(small_ds.streams[:16], 32, TRAIN_CONFIG)
-        with pytest.warns(DeprecationWarning):
-            acc = evaluate_with_tent(trained_cnn, x, small_ds.labels[:16])
-        assert 0.0 <= acc <= 100.0
+        expected = Accuracy()
+        with no_grad():
+            expected.update(res.model(Tensor(x)).data.argmax(axis=-1),
+                            ds.labels)
+        (_, _, part), = mitigation_partials(
+            mitigation_identity("tent", steps=2, lr=1e-2), get_task("cls"),
+            trained_cnn, ds, TRAIN_CONFIG, [(0, len(ds))],
+            batch_size=len(ds))
+        assert part.value() == expected.value()
 
 
 class TestTentNoOp:
@@ -239,9 +242,6 @@ class TestTentNoOp:
         assert res.adapted is False
         assert res.model is vit
         assert "BatchNorm" in res.reason
-        # The legacy shim keeps its silent-passthrough contract.
-        with pytest.warns(DeprecationWarning):
-            assert tent_adapt(vit, x) is vit
 
     def test_quantised_graph_is_explicit_noop(self, trained_cnn, small_ds):
         from repro.nn.quant import quantize_model_fp16

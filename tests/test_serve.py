@@ -83,6 +83,19 @@ class TestJobSpec:
         assert "ceil_mode" in JobSpec({"model": "mcunet-293kb"}).skip
         assert JobSpec({"model": "resnet-50"}).skip == set()
 
+    def test_stored_module_inference_is_dropped(self):
+        """Specs stored before plan inference was removed carry
+        ``"inference": "module"``, the one substrate every job runs."""
+        old = JobSpec({**TINY, "inference": "module"})
+        assert "inference" not in old.normalized()
+        assert "inference" not in old.cli_block()
+        assert old.digest() == JobSpec(dict(TINY)).digest()
+
+    def test_plan_inference_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="plan inference has been removed"):
+            JobSpec({**TINY, "inference": "plan"})
+
 
 # ---------------------------------------------------------------------------
 # Rate limiting
@@ -340,6 +353,48 @@ class TestRestartRecovery:
         assert done == [job.id]
         second.shutdown()
 
+    def test_pre_upgrade_jobs_recover(self, tmp_path):
+        """Jobs stored with ``"inference"`` in their spec, manifest and
+        result: a module job recovers (completed, or queued and
+        re-openable) and dedups; a plan job is skipped as unrecoverable."""
+        def record_inference(job_id, inference):
+            run = tmp_path / job_id
+            doc = json.loads((run / "manifest.json").read_text())
+            doc["inference"] = doc["cli"]["inference"] = inference
+            doc["serve"]["spec"]["inference"] = inference
+            (run / "manifest.json").write_text(json.dumps(doc, indent=2))
+            if (run / "result.json").exists():
+                result = json.loads((run / "result.json").read_text())
+                result["spec"]["inference"] = inference
+                (run / "result.json").write_text(json.dumps(result))
+
+        def runner(job):
+            job.table = "the table"
+        first = JobManager(tmp_path, runner=runner)
+        first.start()
+        done, _ = first.submit(dict(TINY))
+        deadline = time.time() + 30
+        while done.status != "completed" and time.time() < deadline:
+            time.sleep(0.01)
+        first.shutdown()
+        idle = JobManager(tmp_path, runner=lambda job: None)
+        queued, _ = idle.submit({**TINY, "seed": 3})
+        plan, _ = idle.submit({**TINY, "seed": 4})
+        record_inference(done.id, "module")
+        record_inference(queued.id, "module")
+        record_inference(plan.id, "plan")
+
+        second = JobManager(tmp_path, runner=lambda job: None)
+        recovered = {job.id: job for job in second.recover()}
+        assert set(recovered) == {done.id, queued.id}
+        assert recovered[done.id].status == "completed"
+        assert recovered[done.id].table == "the table"
+        assert recovered[queued.id].status == "queued"
+        again, created = second.submit(dict(TINY))
+        assert not created and again.id == done.id
+        session = second._build_session(recovered[queued.id].spec, queued.id)
+        assert session.ledger.run_id == queued.id
+
     def test_manifest_matches_session_identity(self, tmp_path):
         """The submit-time manifest must satisfy open_or_create's identity
         check when the worker session re-opens the run — byte-for-byte on
@@ -401,6 +456,13 @@ class TestHTTPSurface:
             _post(base, {"model": "alexnet-9000"})
         assert exc.value.code == 400
         assert "alexnet-9000" in json.load(exc.value)["error"]
+
+    def test_submit_plan_inference_400(self, stub_service):
+        _, base = stub_service
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _post(base, {**TINY, "inference": "plan"})
+        assert exc.value.code == 400
+        assert "removed" in json.load(exc.value)["error"]
 
     def test_unknown_job_404_and_bad_method_405(self, stub_service):
         _, base = stub_service
