@@ -442,24 +442,28 @@ def main(argv: list[str] | None = None) -> int:
     heap_retained = retain_heap()           # as every CLI process does
     pin_blas_threads()
 
+    import shutil
     import tempfile
     tmp = Path(tempfile.mkdtemp(prefix="bench-serve-"))
-    print(f"workdir: {tmp}")
+    print(f"workdir: {tmp} (removed on exit)")
 
     record = {"timestamp": datetime.now(timezone.utc).isoformat(),
               "mode": "smoke" if args.smoke else "full",
               "cores": available_cores(), "blas_threads": blas_threads(),
               "heap_retained": heap_retained}
 
-    server = Server(tmp / "main")
     try:
-        record["latency"] = suite_latency(server.base, args.smoke)
-        record["parity"] = suite_parity(server.base)
+        server = Server(tmp / "main")
+        try:
+            record["latency"] = suite_latency(server.base, args.smoke)
+            record["parity"] = suite_parity(server.base)
+        finally:
+            server.stop()
+        record["throughput"] = suite_throughput(tmp, args.smoke)
+        record["restart"] = suite_restart(tmp)
+        record["drain"] = suite_drain(tmp)
     finally:
-        server.stop()
-    record["throughput"] = suite_throughput(tmp, args.smoke)
-    record["restart"] = suite_restart(tmp)
-    record["drain"] = suite_drain(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
 
     out = Path(args.out)
     history = []

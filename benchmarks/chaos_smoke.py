@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -407,8 +408,14 @@ def scenario_kill_compaction(tmp: Path, ref_table: list[str],
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="chaos-smoke-"))
-    print(f"workdir: {tmp}")
+    print(f"workdir: {tmp} (removed on exit)")
+    try:
+        return smoke(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
+
+def smoke(tmp: Path) -> int:
     ref = repro("run", *ARGS, "--store", str(tmp / "ref"), "--run-id", "ref")
     assert ref.returncode == 0, \
         f"reference run failed:\n{ref.stdout}\n{ref.stderr}"

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -123,8 +124,14 @@ def full_table(output: str, rows: int) -> list[str]:
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="crash-resume-"))
-    print(f"workdir: {tmp}")
+    print(f"workdir: {tmp} (removed on exit)")
+    try:
+        return smoke(tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
+
+def smoke(tmp: Path) -> int:
     # 1. Uninterrupted reference run.
     ref = repro("run", *ARGS, "--store", str(tmp / "ref"), "--run-id", "ref")
     assert ref.returncode == 0, f"reference run failed:\n{ref.stdout}\n{ref.stderr}"

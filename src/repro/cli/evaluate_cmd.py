@@ -1,8 +1,9 @@
 """Evaluation CLI commands: sweep (one Table-2 row) and worst-case (Fig. 3).
 
-All three commands drive one :class:`~repro.core.session.BenchmarkSession`:
-load the synthetic dataset, train a zoo classifier from scratch — sized for
-a laptop-minute demo by default — then measure SysNoise exactly as the
+All three commands validate their flags into one
+:class:`~repro.core.spec.RunSpec` and drive the session it builds: load the
+synthetic dataset, train a zoo classifier from scratch — sized for a
+laptop-minute demo by default — then measure SysNoise exactly as the
 benchmark harness does.  For the shipped benchmark numbers use
 ``pytest benchmarks/`` instead, which caches trained weights on disk.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-__all__ = ["register", "build_session"]
+__all__ = ["register"]
 
 
 def register(sub: argparse._SubParsersAction) -> None:
@@ -19,38 +20,32 @@ def register(sub: argparse._SubParsersAction) -> None:
                                      "(one Table-2 row)"),
                            ("worst-case", "Fig.-3 cumulative noise stacking")):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--model", default="resnet18x0.25",
-                       help="zoo model name (see list-models)")
-        p.add_argument("--n", type=int, default=240,
-                       help="dataset size (train+val)")
-        p.add_argument("--train-frac", type=float, default=0.75)
-        p.add_argument("--epochs", type=int, default=15)
-        p.add_argument("--seed", type=int, default=0)
-        _add_engine_args(p)
-        if name == "sweep":
-            p.add_argument("--noises", default=None,
-                           help="comma-separated subset (default: all "
-                                "classification noises)")
-            p.add_argument("--no-combined", action="store_true",
-                           help="skip the all-noises-at-once column")
-            p.set_defaults(func=cmd_sweep)
-        else:
-            p.set_defaults(func=cmd_worst_case)
+        _add_spec_args(p, sweep=name == "sweep")
+        p.set_defaults(func=cmd_sweep if name == "sweep" else cmd_worst_case)
 
     p = sub.add_parser("interaction",
                        help="pairwise noise-interaction matrix (ablation E)")
-    p.add_argument("--model", default="resnet18x0.25")
-    p.add_argument("--n", type=int, default=240)
-    p.add_argument("--train-frac", type=float, default=0.75)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
+    _add_spec_args(p)
     p.add_argument("--noises", default="decoder,resize,color,precision",
                    help="comma-separated noise subset to cross")
-    _add_engine_args(p)
     p.set_defaults(func=cmd_interaction)
 
 
-def _add_engine_args(p: argparse.ArgumentParser) -> None:
+def _add_spec_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """The run-spec flags; ``sweep`` adds the noise selection."""
+    p.add_argument("--model", default="resnet18x0.25",
+                   help="zoo model name (see list-models)")
+    p.add_argument("--n", type=int, default=240,
+                   help="dataset size (train+val)")
+    p.add_argument("--train-frac", type=float, default=0.75)
+    p.add_argument("--epochs", type=int, default=15)
+    p.add_argument("--seed", type=int, default=0)
+    if sweep:
+        p.add_argument("--noises", default=None,
+                       help="comma-separated subset (default: all "
+                            "classification noises)")
+        p.add_argument("--no-combined", action="store_true",
+                       help="skip the all-noises-at-once column")
     p.add_argument("--workers", type=int, default=None,
                    help="fan variant evaluations out over this many workers "
                         "(capped at the cores available to the process; "
@@ -68,52 +63,49 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "default: monolithic)")
 
 
-def build_session(args: argparse.Namespace):
+def checked_spec(args: argparse.Namespace, **doc):
+    """The command's flags as a validated RunSpec, or None after printing
+    why they are invalid (the server's 400 texts)."""
+    from repro.core import RunSpec
+    if hasattr(args, "no_combined"):
+        doc.update(noises=args.noises.split(",") if args.noises else None,
+                   include_combined=not args.no_combined)
+    try:
+        return RunSpec.from_doc({"model": args.model, "n": args.n,
+                                 "train_frac": args.train_frac,
+                                 "epochs": args.epochs, "seed": args.seed,
+                                 "batch_size": args.batch_size,
+                                 "shard_size": args.shard_size,
+                                 "workers": args.workers, "mode": args.mode,
+                                 **doc})
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return None
+
+
+def _trained_session(spec):
     """Dataset + freshly trained zoo classifier at CLI demo scale."""
-    from repro.core import BenchmarkSession
-
-    print(f"training {args.model} (n={args.n}, epochs={args.epochs}) ...")
-    return (BenchmarkSession()
-            .task("cls")
-            .seed(args.seed)
-            .workers(args.workers, mode=getattr(args, "mode", "thread"))
-            .batch(args.batch_size)
-            .shards(getattr(args, "shard_size", None))
-            .model(args.model)
-            .data(n=args.n, native_size=48, input_size=32,
-                  train_frac=args.train_frac)
-            .fit(epochs=args.epochs))
-
-
-def _bad_noises(noises, known) -> list[str]:
-    return [n for n in noises if n not in known]
+    print(f"training {spec.model} (n={spec.n}, epochs={spec.epochs}) ...")
+    return spec.to_session().fit(epochs=spec.epochs)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core import CLS_NOISES
-    from repro.models import MODEL_ZOO
-
-    noises = args.noises.split(",") if args.noises else list(CLS_NOISES)
-    bad = _bad_noises(noises, CLS_NOISES)
-    if bad:
-        print(f"error: unknown classification noise(s) {bad}; "
-              f"choose from {list(CLS_NOISES)}")
+    spec = checked_spec(args)
+    if spec is None:
         return 2
-    session = build_session(args).noises(*noises)
-    spec = {s.name: s for s in MODEL_ZOO}[args.model]
-    if not spec.has_maxpool:
-        session.skip("ceil_mode")
-    result = session.combined(not args.no_combined).run()
-    print(result.render(f"SysNoise sweep — {args.model}"))
+    result = _trained_session(spec).run()
+    print(result.render(f"SysNoise sweep — {spec.model}"))
     return 0
 
 
 def cmd_worst_case(args: argparse.Namespace) -> int:
-    from repro.core import CLS_NOISES, render_curve
+    from repro.core import render_curve
 
-    session = build_session(args)
-    curve = session.worst_case(CLS_NOISES)
-    print(render_curve(curve, session.adapter.metric_name))
+    spec = checked_spec(args)
+    if spec is None:
+        return 2
+    session = _trained_session(spec)
+    print(render_curve(session.worst_case(), session.adapter.metric_name))
     return 0
 
 
@@ -123,11 +115,14 @@ def cmd_interaction(args: argparse.Namespace) -> int:
 
     noises = args.noises.split(",")
     known = set(noise_names())
-    bad = _bad_noises(noises, known)
+    bad = [n for n in noises if n not in known]
     if bad:
         print(f"error: unknown noise(s) {bad}; choose from {sorted(known)}")
         return 2
-    session = build_session(args)
+    spec = checked_spec(args)
+    if spec is None:
+        return 2
+    session = _trained_session(spec)
     # The interaction study's configs are known up front: fan them out over
     # the session engine so --workers applies, then the serial matrix walk
     # below is pure eval-cache hits.

@@ -16,9 +16,8 @@ documented in ``docs/faults.md``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
-
-from .run_cmd import _build_stored_session
 
 __all__ = ["register"]
 
@@ -42,38 +41,22 @@ def register(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.core import RunStore
+    from repro.core import RunSpec, RunStore
 
     store = RunStore(args.store)
     try:
-        manifest = store.read_manifest(args.run_id)
+        spec = RunSpec.from_manifest(store.read_manifest(args.run_id))
+        if args.retries is not None:
+            spec = RunSpec.from_doc({**spec.doc(), "retries": args.retries})
     except ValueError as exc:
-        print(f"error: {exc}")
+        print(f"error: run {args.run_id!r}: {exc}")
         return 2
-    cli = manifest.get("cli", {})
-    if "data" not in cli:
-        print(f"error: run {args.run_id!r} has no CLI manifest (created "
-              f"through the Python API?); shared workers need it to rebuild "
-              f"the session — create the run with `repro run --store ... "
-              f"--prepare-only`")
-        return 2
-    retries = (args.retries if args.retries is not None
-               else cli.get("retries", 0))
-    # Identical session geometry to the run that created the manifest —
-    # dataset seed, shard/batch sizes — is what makes every worker derive
-    # the same cell identities and the same final table.
-    session = _build_stored_session(
-        cli.get("model", manifest["model"]), manifest["seed"], cli["data"],
-        None, "shared", cli.get("batch_size"), retries, cli.get("shard_size"))
-    session.lease(args.lease_ttl, args.max_claims)
-    session.noises(*manifest["noises"]).skip(*manifest.get("skip", ()))
-    session.combined(manifest.get("include_combined", True))
-    # Workers inherit the run's mitigation axis from the manifest — the
-    # identities there are already resolved, so every worker derives the
-    # same mitigated ledger keys (and the same mitigation checkpoints).
-    for mit in manifest.get("mitigations", ()):
-        session.mitigate(mit["name"], **mit.get("params", {}))
-    session.store(store, run_id=args.run_id, data=cli["data"], cli=cli)
+    # The recorded spec — dataset seed, shard/batch sizes, mitigations — is
+    # what makes every worker derive the same cell identities, the same
+    # mitigated ledger keys and checkpoints, and the same final table.
+    spec = dataclasses.replace(spec, workers=None, mode="shared")
+    session = (spec.to_session(store, args.run_id)
+               .lease(args.lease_ttl, args.max_claims))
     try:
         ledger = session.ledger
     except ValueError as exc:              # identity mismatch, plan run
@@ -86,8 +69,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     # peers may be mid-sweep on the *recorded* weights right now.)
     from repro.core import verify_checkpoint
     from repro.core.mitigations import checkpoint_name, mitigation_stage
-    names = ["weights.npz"] + [checkpoint_name(m)
-                               for m in manifest.get("mitigations", ())
+    names = ["weights.npz"] + [checkpoint_name(m) for m in spec.mitigation
                                if mitigation_stage(m) == "train"]
     for name in names:
         check = verify_checkpoint(ledger, name=name)
@@ -102,11 +84,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
     # Loads the prepared checkpoint; if the run was not prepared, every
     # worker trains the same deterministic weights (slower, still correct —
     # the checkpoint publish is atomic and last-writer-wins-identically).
-    session.fit_or_load(epochs=cli.get("fit", {}).get("epochs", 15),
-                        log=print)
+    session.fit_or_load(epochs=spec.epochs, log=print)
     result = session.run()
     after = ledger.counts()
-    print(result.render(f"SysNoise run — {session._label}"))
+    print(result.render(f"SysNoise run — {spec.model}"))
     print(f"worker {os.uname().nodename}:{os.getpid()} done: "
           f"{after['ok']} ok, {after['error']} failed, "
           f"{after['entries'] - before['entries']} new entr(y/ies) since "

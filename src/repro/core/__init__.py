@@ -12,6 +12,9 @@ Three abstractions make the core extensible (see ``docs/api.md``):
 Per-task evaluation is ``get_task(name).evaluate``; sweeps, rows and
 worst-case curves are :class:`SweepEngine` methods (or a session's
 :meth:`~BenchmarkSession.run` / :meth:`~BenchmarkSession.worst_case`).
+The CLI and the server describe every classification run as a
+:class:`RunSpec` (:mod:`repro.core.spec`): validated, recorded in the run
+manifest and turned into a session in one place.
 """
 
 from .analysis import (FamilySummary, family_summaries, render_family_table,
@@ -47,6 +50,7 @@ from .report import format_cell, render_curve, render_table, render_taxonomy
 from .runstore import (RunLedger, RunStore, config_digest, expected_cells,
                        ledger_table, run_info, run_manifest)
 from .session import BenchmarkSession, NoiseResult, Session, SessionResult
+from .spec import RunSpec
 from .sweep import SweepCancelled, SweepEngine
 from .tasks import (NLPDataset, TaskAdapter, evaluate_for_task,
                     evaluate_partial_for_task, get_task, register_task,
@@ -74,7 +78,7 @@ __all__ = [
     "mitigated_digest", "checkpoint_name",
     # session facade + sweep engine
     "BenchmarkSession", "Session", "SessionResult", "SweepEngine",
-    "SweepCancelled",
+    "SweepCancelled", "RunSpec",
     # crash-safe run persistence
     "RunStore", "RunLedger", "config_digest", "ledger_table", "run_manifest",
     "expected_cells", "run_info",

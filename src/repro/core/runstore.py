@@ -206,12 +206,13 @@ def run_manifest(*, task: str, model: str, seed: int, noises,
 #: arguments) would splice two different experiments into one table.
 #: ``eval_geometry`` (batch + shard size) is identity too: metric floats
 #: depend on minibatch composition, and per-shard accumulator states from
-#: one geometry must never merge into another.  A field is only compared
+#: one geometry must never merge into another, and neither must weights
+#: trained for a different number of ``epochs``.  A field is only compared
 #: when both manifests carry it, so callers that don't record ``data`` (or
 #: ledgers from before the geometry field existed) are unaffected.
 _IDENTITY_FIELDS = ("task", "model", "seed", "noises", "skip",
                     "include_combined", "data", "eval_geometry",
-                    "mitigations")
+                    "mitigations", "epochs")
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,9 @@ class BenchmarkSession:
         JSONL ledger as it completes.  Pass the ``run_id`` of an existing
         run to *resume* it: ledger-complete evaluations are skipped and the
         final table is bit-identical to an uninterrupted run.  Extra keyword
-        arguments are merged into the run manifest (the CLI stores the
-        arguments it needs to rebuild the session).
+        arguments are merged into the run manifest (a
+        :class:`~repro.core.spec.RunSpec` records the fields it rebuilds the
+        session from).
         """
         from .runstore import RunStore
         self._store = path if isinstance(path, RunStore) else RunStore(path)

@@ -11,7 +11,8 @@ database to keep consistent:
   restarted server reports correct statuses without any recovery protocol;
 * a queued job that the server never got to is just a run directory with an
   empty ledger — ``repro resume <job_id>`` finishes it offline, because the
-  manifest carries the same ``cli`` block ``repro run`` writes;
+  manifest records the job's :class:`~repro.core.spec.RunSpec` exactly as
+  ``repro run`` records its own;
 * duplicate submissions dedup on the spec digest, and completed jobs are
   answered from a digest-keyed response cache backed by ``result.json`` in
   the run directory.
@@ -41,7 +42,6 @@ RESULT_FILE = "result.json"
 
 _KINDS = ("sweep", "worst_case", "interaction")
 _TERMINAL = ("completed", "failed", "cancelled", "interrupted", "hung")
-_DATA_DEFAULTS = dict(native_size=48, input_size=32)
 
 
 class ValidationError(ValueError):
@@ -69,9 +69,12 @@ class JobSpec:
 
     The accepted document mirrors the ``repro run`` CLI surface: kind
     (sweep / worst_case / interaction), zoo model, dataset size and split,
-    training epochs, seed, noise subset, engine geometry.  Validation is
-    strict — unknown keys are rejected, because a typo'd ``"epochz"``
-    silently ignored is a benchmark result nobody asked for.
+    training epochs, seed, noise subset, engine geometry.  Everything but
+    ``kind`` and ``deadline`` is the job's :attr:`run`, a
+    :class:`~repro.core.spec.RunSpec` validated by the same code as the
+    CLI's flags.  Validation is strict — unknown keys are rejected,
+    because a typo'd ``"epochz"`` silently ignored is a benchmark result
+    nobody asked for.
     """
 
     FIELDS = ("kind", "task", "model", "n", "train_frac", "epochs", "seed",
@@ -99,148 +102,33 @@ class JobSpec:
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {list(_KINDS)}, "
                                   f"got {self.kind!r}")
-        self.task = doc.get("task", "cls")
-        if self.task != "cls":
-            raise ValidationError(f"only task 'cls' is servable today, "
-                                  f"got {self.task!r}")
-        self.model = doc.get("model", "resnet18x0.25")
-        from repro.models import MODEL_ZOO
-        zoo = {s.name: s for s in MODEL_ZOO}
-        if self.model not in zoo:
-            raise ValidationError(f"unknown model {self.model!r} "
-                                  f"(see GET /v1/tasks or `repro "
-                                  f"list-models`)")
-        self._zoo_spec = zoo[self.model]
-        self.n = self._int(doc, "n", 240, lo=8, hi=100_000)
-        self.train_frac = self._float(doc, "train_frac", 0.75,
-                                      lo=0.1, hi=0.95)
-        self.epochs = self._int(doc, "epochs", 15, lo=1, hi=10_000)
-        self.seed = self._int(doc, "seed", 0, lo=0, hi=2**31 - 1)
-        from repro.core import CLS_NOISES
-        noises = doc.get("noises")
-        if noises is None:
-            noises = list(CLS_NOISES)
-        if (not isinstance(noises, list) or not noises
-                or not all(isinstance(n, str) for n in noises)):
-            raise ValidationError("noises must be a non-empty list of "
-                                  "noise names")
-        bad = sorted(set(noises) - set(CLS_NOISES))
-        if bad:
-            raise ValidationError(f"unknown classification noise(s) {bad}; "
-                                  f"choose from {list(CLS_NOISES)}")
-        self.noises = list(noises)
-        self.include_combined = bool(doc.get("include_combined", True))
-        self.batch_size = self._int(doc, "batch_size", None, lo=1, hi=4096)
-        self.shard_size = self._int(doc, "shard_size", None, lo=1,
-                                    hi=100_000)
-        self.workers = self._int(doc, "workers", None, lo=1, hi=256)
-        self.mode = doc.get("mode", "thread")
-        if self.mode not in ("thread", "process"):
-            raise ValidationError(f"mode must be 'thread' or 'process', "
-                                  f"got {self.mode!r}")
-        self.retries = self._int(doc, "retries", 0, lo=0, hi=16)
-        # Per-job wall-clock budget (seconds).  None defers to the
-        # manager's default; checked by the watchdog at cell granularity
-        # (a deadline that expires mid-training fires at the first sweep
-        # cell boundary after it).
-        self.deadline = (None if doc.get("deadline") is None
-                         else self._float(doc, "deadline", None,
-                                          lo=0.1, hi=86_400.0))
-        # Mitigations: a list of CLI-format specs ("tent", "tent:steps=2",
-        # "augment:augmix").  Normalised to registry-resolved identity
-        # dicts, so the job digest (dedup / response-cache key) is the
-        # *identity*, not the spelling — "tent" and "tent:steps=1" are the
-        # same job.  Only sweep jobs carry a mitigation axis.
-        raw = doc.get("mitigation")
-        self.mitigation_raw = []
-        self.mitigation = []
-        if raw:
-            if not isinstance(raw, list):
-                raise ValidationError(
-                    "mitigation must be a list of spec strings, e.g. "
-                    '["tent:steps=2", "augment:augmix"] — see GET '
-                    "/v1/mitigations")
-            if self.kind != "sweep":
-                raise ValidationError("mitigation is only valid for kind "
-                                      "'sweep'")
-            from repro.cli.run_cmd import _parse_mitigate
-            from repro.core.mitigations import (get_mitigation,
-                                                mitigation_identity)
-            for item in raw:
-                try:
-                    if isinstance(item, str):
-                        name, params = _parse_mitigate(item)
-                    elif isinstance(item, dict):   # restart-recovery path:
-                        # normalized() emits identity dicts, which recover()
-                        # feeds straight back into this constructor.
-                        name = item.get("name", "")
-                        params = dict(item.get("params", {}))
-                    else:
-                        raise ValueError(f"mitigation entries must be spec "
-                                         f"strings, got {item!r}")
-                    spec = get_mitigation(name)
-                    if self.task not in spec.tasks:
-                        raise ValueError(
-                            f"mitigation {name!r} does not support task "
-                            f"{self.task!r}")
-                    identity = mitigation_identity(name, **params)
-                except (ValueError, TypeError) as exc:
-                    raise ValidationError(str(exc)) from exc
-                if identity in self.mitigation:
-                    raise ValidationError(f"duplicate mitigation {item!r}")
-                self.mitigation_raw.append(item if isinstance(item, str)
-                                           else identity["name"])
-                self.mitigation.append(identity)
-
-    @staticmethod
-    def _int(doc, key, default, *, lo, hi):
-        value = doc.get(key, default)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{key} must be an integer")
-        if not lo <= value <= hi:
-            raise ValidationError(f"{key} must be in [{lo}, {hi}], "
-                                  f"got {value}")
-        return value
-
-    @staticmethod
-    def _float(doc, key, default, *, lo, hi):
-        value = doc.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{key} must be a number")
-        if not lo <= value <= hi:
-            raise ValidationError(f"{key} must be in [{lo}, {hi}], "
-                                  f"got {value}")
-        return float(value)
-
-    @property
-    def skip(self) -> set[str]:
-        """Noises inapplicable to this architecture (the zoo rule the CLI
-        applies: ceil-mode only exists on models with a max-pool)."""
-        return set() if self._zoo_spec.has_maxpool else {"ceil_mode"}
+        from repro.core.spec import RunSpec, number_field
+        try:
+            self.run = RunSpec.from_doc(
+                {k: v for k, v in doc.items() if k not in ("kind", "deadline")})
+            # Per-job wall-clock budget (seconds).  None defers to the
+            # manager's default; checked by the watchdog at cell granularity
+            # (a deadline that expires mid-training fires at the first sweep
+            # cell boundary after it).
+            self.deadline = (None if doc.get("deadline") is None
+                             else number_field(doc, "deadline", None, lo=0.1,
+                                               hi=86_400.0, integer=False))
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
+        if self.run.mitigation and self.kind != "sweep":
+            raise ValidationError("mitigation is only valid for kind "
+                                  "'sweep'")
 
     def normalized(self) -> dict:
         """The canonical spec document (defaults filled in, ordered)."""
-        return {f: getattr(self, f) for f in self.FIELDS}
+        values = {"kind": self.kind, "deadline": self.deadline,
+                  **self.run.doc()}
+        return {f: values[f] for f in self.FIELDS}
 
     def digest(self) -> str:
         """Stable identity of this spec — the dedup / response-cache key."""
         from repro.core import config_digest
         return config_digest(self.normalized())
-
-    def data_kw(self) -> dict:
-        return dict(n=self.n, train_frac=self.train_frac, **_DATA_DEFAULTS)
-
-    def cli_block(self) -> dict:
-        """The manifest ``cli`` block, in exactly the shape ``repro run``
-        writes — this is what makes ``repro resume <job_id>`` work on a
-        job the server never finished."""
-        return {"model": self.model, "data": self.data_kw(),
-                "fit": {"epochs": self.epochs}, "workers": self.workers,
-                "mode": self.mode, "batch_size": self.batch_size,
-                "shard_size": self.shard_size, "retries": self.retries,
-                "mitigate": list(self.mitigation_raw)}
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +338,11 @@ class JobManager:
 
     def _create_run_dir(self, spec: JobSpec, run_id: str,
                         client: str) -> None:
-        """Write the durable job record — a run directory whose manifest
-        matches byte-for-byte what the worker's session will build, so the
-        worker (and ``repro resume``) re-open it instead of erroring on
-        identity mismatch."""
-        from repro.core import get_task, run_manifest
-        manifest = run_manifest(
-            task=spec.task, model=spec.model, seed=spec.seed,
-            noises=spec.noises, skip=spec.skip,
-            include_combined=spec.include_combined,
-            metric=get_task(spec.task).metric_name,
-            eval_geometry={"batch_size": spec.batch_size,
-                           "shard_size": spec.shard_size},
-            mitigations=list(spec.mitigation),
-            data=spec.data_kw(), cli=spec.cli_block(),
+        """Write the durable job record — a run directory whose manifest is
+        the one the run spec's session records, so the worker (and ``repro
+        resume``) re-open it instead of erroring on identity mismatch.
+        Runs under the manager's lock: no dataset is synthesised here."""
+        manifest = spec.run.manifest(
             serve={"spec": spec.normalized(), "digest": spec.digest(),
                    "submitted": time.time(), "client": client})
         self.store.create(manifest, run_id)
@@ -740,35 +619,11 @@ class JobManager:
 
     # -- the default runner: a real BenchmarkSession ------------------------
 
-    def _build_session(self, spec: JobSpec, run_id: str):
-        from repro.core import BenchmarkSession
-        session = (BenchmarkSession()
-                   .task(spec.task)
-                   .seed(spec.seed)
-                   .workers(spec.workers, mode=spec.mode)
-                   .batch(spec.batch_size)
-                   .shards(spec.shard_size)
-                   .retries(spec.retries)
-                   .model(spec.model)
-                   .data(**spec.data_kw())
-                   .noises(*spec.noises)
-                   .skip(*spec.skip)
-                   .combined(spec.include_combined))
-        for mit in spec.mitigation:
-            # Re-resolving the identity through .mitigate() keeps one code
-            # path; the params are already registry-validated, so the
-            # session derives byte-identical identities (and therefore the
-            # same manifest the submit-time run directory recorded).
-            session.mitigate(mit["name"], **mit["params"])
-        session.store(self.store, run_id=run_id, data=spec.data_kw(),
-                      cli=spec.cli_block())
-        return session
-
     def _run_job(self, job: Job) -> None:
         from repro.core import ledger_table, render_curve, render_interaction
 
-        spec = job.spec
-        session = self._build_session(spec, job.id)
+        run = job.spec.run
+        session = run.to_session(self.store, job.id)
         session.cancel(job.cancel.is_set)
         ledger = session.ledger                # re-opens the submit-time dir
         # Replay first, subscribe second: nothing appends until run(), so a
@@ -779,19 +634,19 @@ class JobManager:
         ledger.subscribe(listener)
         try:
             session.fit_or_load(
-                epochs=spec.epochs,
+                epochs=run.epochs,
                 log=lambda msg: job.push({"event": "log", "message": msg}))
-            if spec.kind == "sweep":
+            if job.spec.kind == "sweep":
                 session.run()
                 job.table = ledger_table(ledger)
-            elif spec.kind == "worst_case":
+            elif job.spec.kind == "worst_case":
                 curve = session.worst_case()
                 job.table = render_curve(curve,
                                          session.adapter.metric_name)
             else:                              # interaction
                 from repro.core import (TRAIN_CONFIG, combined_config,
                                         pairwise_interaction)
-                noises = [n for n in spec.noises if n not in spec.skip]
+                noises = [n for n in run.noises if n not in run.skip]
                 configs = ([TRAIN_CONFIG]
                            + [combined_config([n]) for n in noises]
                            + [combined_config([a, b])

@@ -1,5 +1,9 @@
 """CLI tests: every command via repro.cli.main with captured stdout."""
 
+import json
+import shutil
+import time
+
 import numpy as np
 import pytest
 
@@ -148,11 +152,35 @@ class TestSweep:
         assert "SysNoise sweep" in out
         assert "mcunet-293kb" in out
 
-    def test_worst_case_prints_curve(self, capsys):
-        code, out = run_cli(capsys, "worst-case", "--model", "mcunet-293kb",
-                            "--n", "40", "--epochs", "2")
-        assert code == 0
-        assert "cumulative" in out
+    def test_worst_case_prints_curve(self, capsys, tmp_path):
+        """The CLI curve stacks the noises a served ``worst_case`` job with
+        the same spec stacks: ceil-mode only on models with a max-pool."""
+        from repro.serve import JobManager
+        manager = JobManager(tmp_path)
+        manager.start()
+        try:
+            for model, has_maxpool in (("mcunet-293kb", False),
+                                       ("resnet18x0.25", True)):
+                code, out = run_cli(capsys, "worst-case", "--model", model,
+                                    "--n", "40", "--epochs", "1")
+                assert code == 0
+                assert "cumulative" in out
+                labels = curve_labels(out)
+                assert ("+ceil_mode" in labels) == has_maxpool
+                job, _ = manager.submit({"kind": "worst_case", "model": model,
+                                         "n": 40, "epochs": 1})
+                deadline = time.time() + 120
+                while not job.terminal and time.time() < deadline:
+                    time.sleep(0.05)
+                assert job.status == "completed", job.error
+                assert curve_labels(job.table) == labels
+        finally:
+            manager.shutdown()
+
+
+def curve_labels(text: str) -> list[str]:
+    return [line.split()[0] for line in text.splitlines()
+            if line.startswith("  +")]
 
 
 class TestExport:
@@ -258,21 +286,118 @@ class TestExportInt8:
 
 
 # ---------------------------------------------------------------------------
-# Run directories recorded before plan inference was removed
+# repro run: validation and run identity
 # ---------------------------------------------------------------------------
 
 RUN_ARGS = ("--run-id", "r", "--model", "mcunet-293kb", "--n", "24",
             "--epochs", "1", "--noises", "resize,precision", "--no-combined")
 
 
-def record_inference(run_dir, inference: str) -> None:
-    """Give a CLI run's manifest the shape older runs carry: the inference
-    substrate at the top level and in ``cli``."""
-    import json
-    path = run_dir / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc["inference"] = doc["cli"]["inference"] = inference
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+def tree_bytes(root) -> dict:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunSpecValidation:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "0", "n must be in [8, 100000], got 0"),
+        ("--train-frac", "1.5", "train_frac must be in [0.1, 0.95], got 1.5"),
+        ("--epochs", "0", "epochs must be in [1, 10000], got 0"),
+        ("--batch-size", "0", "batch_size must be in [1, 4096], got 0"),
+        ("--model", "nope", "unknown model 'nope' (see GET /v1/tasks or "
+                            "`repro list-models`)"),
+        ("--retries", "-1", "retries must be in [0, 16], got -1"),
+    ])
+    def test_bad_values_exit_2_before_any_work(self, capsys, tmp_path, flag,
+                                               value, message):
+        """The CLI refuses what the server answers 400 to, with the same
+        text, before it creates a run directory or trains anything."""
+        store = tmp_path / "store"
+        code, out = run_cli(capsys, "run", "--store", str(store), *RUN_ARGS,
+                            flag, value)
+        assert (code, out) == (2, f"error: {message}\n")
+        assert not store.exists()
+        if flag != "--retries":                  # run's own flag
+            for command in ("sweep", "worst-case"):
+                code, out = run_cli(capsys, command, *RUN_ARGS[2:4],
+                                    flag, value)
+                assert (code, out) == (2, f"error: {message}\n")
+
+    def test_epochs_is_run_identity(self, capsys, tmp_path):
+        assert run_cli(capsys, "run", "--store", str(tmp_path), *RUN_ARGS,
+                       "--prepare-only")[0] == 0
+        before = tree_bytes(tmp_path)
+        code, out = run_cli(capsys, "run", "--store", str(tmp_path),
+                            *RUN_ARGS, "--epochs", "3")
+        assert code == 2
+        assert out.startswith("error:")
+        assert "manifest mismatch on ['epochs']" in out
+        assert tree_bytes(tmp_path) == before
+
+    def test_resume_and_worker_overrides_are_validated(self, capsys,
+                                                       tmp_path):
+        assert run_cli(capsys, "run", "--store", str(tmp_path), *RUN_ARGS,
+                       "--prepare-only")[0] == 0
+        before = tree_bytes(tmp_path)
+        for argv in (("resume", "r", "--retries", "-1"),
+                     ("resume", "r", "--workers", "0"),
+                     ("worker", "r", "--retries", "17")):
+            code, out = run_cli(capsys, *argv, "--store", str(tmp_path))
+            assert code == 2 and out.startswith("error: run 'r': ")
+            assert f"{argv[2][2:]} must be in" in out
+        assert tree_bytes(tmp_path) == before
+
+    def test_resume_restates_mitigations_in_any_order(self, capsys,
+                                                      tmp_path):
+        assert run_cli(capsys, "run", "--store", str(tmp_path), *RUN_ARGS,
+                       "--mitigate", "tent", "--mitigate", "tent:steps=2",
+                       "--prepare-only")[0] == 0
+        code, out = run_cli(capsys, "resume", "r", "--store", str(tmp_path),
+                            "--mitigate", "tent")
+        assert code == 2 and "a different mitigation set" in out
+        code, out = run_cli(capsys, "resume", "r", "--store", str(tmp_path),
+                            "--mitigate", "tent:steps=2", "--mitigate",
+                            "tent:steps=1")
+        assert code == 0, out
+
+    def test_run_without_a_spec_is_refused(self, capsys, tmp_path,
+                                           recorded_manifest):
+        """Fluent-API runs record no spec; out-of-range recorded values
+        name their field.  Both commands exit 2 and touch nothing."""
+        from repro.core import RunStore, run_manifest
+        store = RunStore(tmp_path)
+        store.create(run_manifest(task="cls", model="mcunet-293kb", seed=0,
+                                  noises=["color"]), "fluent")
+        bad = recorded_manifest("3e12727-cli")
+        bad["cli"]["fit"]["epochs"] = 0
+        store.create(bad, "zero-epochs")
+        before = tree_bytes(tmp_path)
+        for command in ("resume", "worker"):
+            code, out = run_cli(capsys, command, "fluent", "--store",
+                                str(tmp_path))
+            assert code == 2 and out.startswith("error: run 'fluent'")
+            assert "records no run spec" in out
+            code, out = run_cli(capsys, command, "zero-epochs", "--store",
+                                str(tmp_path))
+            assert code == 2
+            assert "epochs must be in [1, 10000], got 0" in out
+        assert tree_bytes(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
+# Run directories recorded by older trees (tests/fixtures/manifests)
+# ---------------------------------------------------------------------------
+
+#: The flags each recorded manifest's run was started with.
+RECORDED_ARGS = {
+    "5e8166d-ledger": RUN_ARGS,
+    "fe0bc57-shards": RUN_ARGS + ("--batch-size", "4", "--shard-size", "8"),
+    "a32abe1-tent": RUN_ARGS + ("--mitigate", "tent"),
+    "0b52533-inference": RUN_ARGS + ("--batch-size", "8"),
+    "3e12727-cli": RUN_ARGS + ("--batch-size", "8", "--shard-size", "8",
+                               "--workers", "2", "--retries", "1"),
+    "3e12727-serve": ("--run-id", "r", "--model", "mcunet-293kb", "--n", "16",
+                      "--epochs", "1", "--noises", "color", "--no-combined"),
+}
 
 
 def ledger_values(store) -> dict:
@@ -282,39 +407,64 @@ def ledger_values(store) -> dict:
             if e["kind"] == "eval" and e["status"] == "ok"}
 
 
-class TestOldRunManifests:
-    def test_module_run_resumes_and_takes_workers(self, capsys, tmp_path):
-        fresh = tmp_path / "fresh"
-        assert run_cli(capsys, "run", "--store", str(fresh), *RUN_ARGS)[0] == 0
-        for store, command in ((tmp_path / "w", "worker"),
-                               (tmp_path / "s", "resume")):
-            code, _ = run_cli(capsys, "run", "--store", str(store), *RUN_ARGS,
-                              "--prepare-only")
-            assert code == 0
-            record_inference(store / "r", "module")
-            code, out = run_cli(capsys, command, "r", "--store", str(store))
-            assert code == 0, out
-            values = ledger_values(store)
-            assert values and values == ledger_values(fresh)
+def install_recorded(capsys, tmp_path, manifest, args):
+    """A fresh ``repro run`` of ``args``, and run ``r`` of store
+    ``tmp_path/old`` holding ``manifest`` plus the fresh run's weights
+    (their digests depend on the host's BLAS)."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert run_cli(capsys, "run", "--store", str(fresh), *args)[0] == 0
+    checkpoints = json.loads((fresh / "r" / "manifest.json").read_text())[
+        "checkpoints"]
+    (old / "r").mkdir(parents=True)
+    shutil.copy(fresh / "r" / "weights.npz", old / "r")
+    (old / "r" / "manifest.json").write_text(
+        json.dumps({**manifest, "checkpoints": checkpoints}, indent=2))
+    return fresh, old
 
-    def test_plan_run_is_refused_by_resume_and_worker(self, capsys,
-                                                       tmp_path):
+
+def finish_recorded(capsys, tmp_path, manifest, args):
+    """``resume`` and ``worker`` each finish a copy of the recorded run
+    with the ledger values of a fresh run."""
+    fresh, old = install_recorded(capsys, tmp_path, manifest, args)
+    for command in ("worker", "resume"):
+        store = tmp_path / command
+        shutil.copytree(old, store)
+        code, out = run_cli(capsys, command, "r", "--store", str(store))
+        assert code == 0, out
+        values = ledger_values(store)
+        assert values and values == ledger_values(fresh)
+
+
+class TestOldRunManifests:
+    @pytest.mark.parametrize("name", [n for n in sorted(RECORDED_ARGS)
+                                      if n != "0b52533-inference"])
+    def test_recorded_run_resumes_and_takes_workers(self, capsys, tmp_path,
+                                                    recorded_manifest, name):
+        finish_recorded(capsys, tmp_path, recorded_manifest(name),
+                        RECORDED_ARGS[name])
+
+    def test_module_run_resumes_and_takes_workers(self, capsys, tmp_path,
+                                                  recorded_manifest):
+        """Runs recorded with ``"inference": "module"``."""
+        name = "0b52533-inference"
+        finish_recorded(capsys, tmp_path, recorded_manifest(name),
+                        RECORDED_ARGS[name])
+
+    def test_plan_run_is_refused_by_resume_and_worker(self, capsys, tmp_path,
+                                                       recorded_manifest):
         """Plan cells were computed on another substrate: both commands
         refuse the run, touch nothing, and fsck and report still read it."""
-        assert run_cli(capsys, "run", "--store", str(tmp_path), *RUN_ARGS,
-                       "--prepare-only")[0] == 0
-        run_dir = tmp_path / "r"
-        record_inference(run_dir, "plan")
-        before = {p: p.read_bytes() for p in sorted(run_dir.rglob("*"))
-                  if p.is_file()}
+        name = "0b52533-inference"
+        manifest = recorded_manifest(name)
+        manifest["inference"] = manifest["cli"]["inference"] = "plan"
+        _, old = install_recorded(capsys, tmp_path, manifest,
+                                  RECORDED_ARGS[name])
+        before = tree_bytes(old)
         for command in ("resume", "worker"):
-            code, out = run_cli(capsys, command, "r", "--store",
-                                str(tmp_path))
+            code, out = run_cli(capsys, command, "r", "--store", str(old))
             assert code == 2
             assert out.startswith("error:") and "plan" in out
-        after = {p: p.read_bytes() for p in sorted(run_dir.rglob("*"))
-                 if p.is_file()}
-        assert after == before
-        assert run_cli(capsys, "fsck", "r", "--store", str(tmp_path))[0] == 0
-        assert run_cli(capsys, "report", "--store", str(tmp_path),
+        assert tree_bytes(old) == before
+        assert run_cli(capsys, "fsck", "r", "--store", str(old))[0] == 0
+        assert run_cli(capsys, "report", "--store", str(old),
                        "--run", "r")[0] == 0

@@ -149,6 +149,18 @@ class TestRunStore:
         # Backwards compatible: a manifest without 'data' is not compared.
         assert store.open_or_create(dict(manifest), run_id="r") is not None
 
+    def test_resume_epochs_mismatch_raises(self, tmp_path, manifest):
+        """Weights trained for a different number of epochs are a different
+        run; manifests recorded before ``epochs`` was identity carry none,
+        so for them the field is not compared."""
+        store = RunStore(tmp_path)
+        store.create(dict(manifest, epochs=1), run_id="r")
+        with pytest.raises(ValueError, match=r"mismatch on \['epochs'\]"):
+            store.open_or_create(dict(manifest, epochs=3), run_id="r")
+        assert store.open_or_create(dict(manifest, epochs=1), run_id="r")
+        store.create(dict(manifest), run_id="old")
+        assert store.open_or_create(dict(manifest, epochs=3), run_id="old")
+
     def test_read_manifest_without_replay(self, tmp_path, manifest):
         store = RunStore(tmp_path)
         store.create(manifest, run_id="r")
@@ -506,53 +518,58 @@ class TestRunStatusReplay:
 # Runs recorded before plan inference was removed
 # ---------------------------------------------------------------------------
 
-def record_inference(run_dir, inference: str) -> None:
-    """Give a manifest the shape older runs carry: the inference substrate
-    at the top level (CLI runs also repeat it in ``cli``)."""
-    path = run_dir / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc["inference"] = inference
-    if "cli" in doc:
-        doc["cli"]["inference"] = inference
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def tree_bytes(root) -> dict:
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestOldInferenceManifests:
-    def session(self):
-        from repro.core import BenchmarkSession
-        return (BenchmarkSession().task("cls").model("mcunet-293kb").seed(0)
-                .data(n=24, train_frac=0.5).noises("resize")
-                .combined(False))
+    """The recorded ``0b52533-inference`` manifest carries ``"inference":
+    "module"`` at the top level and in its ``cli`` block."""
 
-    def test_module_run_resumes_with_fresh_values(self, tmp_path):
-        first = self.session().store(tmp_path / "old", run_id="r")
+    @staticmethod
+    def install(store, manifest):
+        (store / "r").mkdir(parents=True)
+        (store / "r" / "manifest.json").write_text(json.dumps(manifest))
+
+    @staticmethod
+    def session(store=None, run_id=None):
+        from repro.core import RunSpec
+        spec = RunSpec.from_doc({"model": "mcunet-293kb", "n": 24,
+                                 "epochs": 1, "batch_size": 8,
+                                 "noises": ["resize", "precision"],
+                                 "include_combined": False})
+        return spec.to_session(store, run_id).fit(epochs=spec.epochs)
+
+    def test_module_run_resumes_with_fresh_values(self, tmp_path,
+                                                  recorded_manifest):
+        self.install(tmp_path / "old", recorded_manifest("0b52533-inference"))
+        first = self.session(tmp_path / "old", "r")
         first.run()
-        record_inference(tmp_path / "old" / "r", "module")
-        resumed = self.session().store(tmp_path / "old", run_id="r")
+        resumed = self.session(tmp_path / "old", "r")
         before = resumed.ledger.counts()
         row = resumed.run().row()
         assert resumed.ledger.counts() == before    # every cell restored
-        fresh = self.session().store(tmp_path / "fresh").run().row()
+        fresh = self.session(tmp_path / "fresh").run().row()
         assert row["trained"] == fresh["trained"]
         assert (row["noises"]["resize"].values
                 == fresh["noises"]["resize"].values)
 
-    def test_plan_run_is_refused_and_left_unchanged(self, tmp_path):
+    def test_plan_run_is_refused_and_left_unchanged(self, tmp_path,
+                                                    recorded_manifest):
         from repro.core import fsck_run
-        self.session().store(tmp_path, run_id="r").run()
+        manifest = recorded_manifest("0b52533-inference")
+        self.install(tmp_path, manifest)
+        self.session(tmp_path, "r").run()
+        manifest["inference"] = manifest["cli"]["inference"] = "plan"
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
         run_dir = tmp_path / "r"
-        record_inference(run_dir, "plan")
         before = tree_bytes(run_dir)
         with pytest.raises(ValueError, match="plan inference has been "
                                              "removed"):
             RunStore(tmp_path).open_or_create(
                 RunStore(tmp_path).read_manifest("r"), run_id="r")
-        session = self.session().store(tmp_path, run_id="r")
+        session = self.session(tmp_path, "r")
         with pytest.raises(ValueError, match="inference='plan'"):
             session.run()
         assert tree_bytes(run_dir) == before

@@ -49,8 +49,8 @@ TINY = {"model": "mcunet-293kb", "n": 16, "epochs": 1, "noises": ["color"],
 class TestJobSpec:
     def test_defaults_fill_in(self):
         spec = JobSpec({})
-        assert spec.kind == "sweep" and spec.model == "resnet18x0.25"
-        assert spec.noises and spec.epochs == 15
+        assert spec.kind == "sweep" and spec.run.model == "resnet18x0.25"
+        assert spec.run.noises and spec.run.epochs == 15
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="epochz"):
@@ -80,15 +80,35 @@ class TestJobSpec:
         assert JobSpec({"n": 64}).digest() != JobSpec({}).digest()
 
     def test_zoo_skip_rule(self):
-        assert "ceil_mode" in JobSpec({"model": "mcunet-293kb"}).skip
-        assert JobSpec({"model": "resnet-50"}).skip == set()
+        assert "ceil_mode" in JobSpec({"model": "mcunet-293kb"}).run.skip
+        assert JobSpec({"model": "resnet-50"}).run.skip == ()
+
+    @pytest.mark.parametrize("doc, digest", [
+        ({}, "973d4f4bb5cd2dace113215ee6983728"),
+        (TINY, "45800472ed50ec0ce08ac7bd7151d1e6"),
+        ({**TINY, "mitigation": ["tent:steps=2"]},
+         "378857591306fc5fab01b4ddd9479e88"),
+        ({**TINY, "deadline": 5}, "9bd10a6b18db1602d4021e3f115b57c2"),
+    ])
+    def test_document_and_digest_are_stable(self, doc, digest):
+        """Dedup keys, ``result.json`` and ``GET /v1/jobs/<id>`` of stored
+        jobs depend on these: the digests were taken from the tree that
+        validated jobs before ``RunSpec`` did."""
+        spec = JobSpec(dict(doc))
+        assert spec.digest() == digest
+        normalized = spec.normalized()
+        assert list(normalized) == list(JobSpec.FIELDS)
+        assert normalized["task"] == "cls"
+        assert isinstance(normalized["noises"], list)
+        if "mitigation" in doc:
+            assert normalized["mitigation"] == [
+                {"name": "tent", "params": {"steps": 2, "lr": 0.001}}]
 
     def test_stored_module_inference_is_dropped(self):
         """Specs stored before plan inference was removed carry
         ``"inference": "module"``, the one substrate every job runs."""
         old = JobSpec({**TINY, "inference": "module"})
         assert "inference" not in old.normalized()
-        assert "inference" not in old.cli_block()
         assert old.digest() == JobSpec(dict(TINY)).digest()
 
     def test_plan_inference_rejected(self):
@@ -139,7 +159,7 @@ class TestJobManager:
         assert job.id in manager.store            # durable before any worker
         manifest = manager.store.read_manifest(job.id)
         assert manifest["serve"]["digest"] == job.spec.digest()
-        assert manifest["cli"]["fit"] == {"epochs": 1}   # repro-resume-able
+        assert manifest["epochs"] == 1 and "cli" not in manifest
 
     def test_dedup_returns_existing(self, tmp_path):
         manager = JobManager(tmp_path, runner=lambda job: None)
@@ -353,57 +373,65 @@ class TestRestartRecovery:
         assert done == [job.id]
         second.shutdown()
 
-    def test_pre_upgrade_jobs_recover(self, tmp_path):
-        """Jobs stored with ``"inference"`` in their spec, manifest and
-        result: a module job recovers (completed, or queued and
-        re-openable) and dedups; a plan job is skipped as unrecoverable."""
-        def record_inference(job_id, inference):
-            run = tmp_path / job_id
-            doc = json.loads((run / "manifest.json").read_text())
-            doc["inference"] = doc["cli"]["inference"] = inference
-            doc["serve"]["spec"]["inference"] = inference
-            (run / "manifest.json").write_text(json.dumps(doc, indent=2))
-            if (run / "result.json").exists():
-                result = json.loads((run / "result.json").read_text())
-                result["spec"]["inference"] = inference
-                (run / "result.json").write_text(json.dumps(result))
+    @staticmethod
+    def install(store, job_id, manifest):
+        (store / job_id).mkdir(parents=True)
+        (store / job_id / "manifest.json").write_text(json.dumps(manifest))
 
-        def runner(job):
-            job.table = "the table"
-        first = JobManager(tmp_path, runner=runner)
-        first.start()
-        done, _ = first.submit(dict(TINY))
-        deadline = time.time() + 30
-        while done.status != "completed" and time.time() < deadline:
-            time.sleep(0.01)
-        first.shutdown()
-        idle = JobManager(tmp_path, runner=lambda job: None)
-        queued, _ = idle.submit({**TINY, "seed": 3})
-        plan, _ = idle.submit({**TINY, "seed": 4})
-        record_inference(done.id, "module")
-        record_inference(queued.id, "module")
-        record_inference(plan.id, "plan")
+    def test_recorded_job_recovers_and_dedups(self, tmp_path,
+                                              recorded_manifest):
+        """A queued job stored before RunSpec recorded the manifest (its
+        ``cli`` block shape) recovers, dedups, and re-opens its run."""
+        manifest = recorded_manifest("3e12727-serve")
+        self.install(tmp_path, "old-job", manifest)
+        manager = JobManager(tmp_path, runner=lambda job: None)
+        [job] = manager.recover()
+        assert job.id == "old-job" and job.status == "queued"
+        assert job.spec.digest() == manifest["serve"]["digest"]
+        assert job.spec.normalized() == manifest["serve"]["spec"]
+        again, created = manager.submit(dict(TINY))
+        assert not created and again is job
+        session = job.spec.run.to_session(manager.store, job.id)
+        assert session.ledger.run_id == job.id
 
+    def test_pre_upgrade_jobs_recover(self, tmp_path, recorded_manifest):
+        """Jobs stored with ``"inference"`` in their spec and manifest: a
+        module job recovers, re-opens and dedups; a plan job is skipped as
+        unrecoverable."""
+        module = recorded_manifest("0b52533-serve")
+        plan = recorded_manifest("0b52533-serve")
+        plan["inference"] = plan["cli"]["inference"] = "plan"
+        plan["serve"]["spec"]["inference"] = "plan"
+        self.install(tmp_path, "module-job", module)
+        self.install(tmp_path, "plan-job", plan)
         second = JobManager(tmp_path, runner=lambda job: None)
         recovered = {job.id: job for job in second.recover()}
-        assert set(recovered) == {done.id, queued.id}
-        assert recovered[done.id].status == "completed"
-        assert recovered[done.id].table == "the table"
-        assert recovered[queued.id].status == "queued"
+        assert set(recovered) == {"module-job"}
+        assert recovered["module-job"].status == "queued"
         again, created = second.submit(dict(TINY))
-        assert not created and again.id == done.id
-        session = second._build_session(recovered[queued.id].spec, queued.id)
-        assert session.ledger.run_id == queued.id
+        assert not created and again.id == "module-job"
+        session = recovered["module-job"].spec.run.to_session(
+            second.store, "module-job")
+        assert session.ledger.run_id == "module-job"
 
     def test_manifest_matches_session_identity(self, tmp_path):
-        """The submit-time manifest must satisfy open_or_create's identity
-        check when the worker session re-opens the run — byte-for-byte on
-        every _IDENTITY_FIELDS member present in both."""
-        manager = JobManager(tmp_path, runner=lambda job: None)
-        job, _ = manager.submit(dict(TINY))
-        session = manager._build_session(job.spec, job.id)
-        ledger = session.ledger                   # raises on identity drift
-        assert ledger.run_id == job.id
+        """The submit-time manifest (written without a session) is the
+        one the job's session records: it re-opens the run, and a session
+        on a fresh store writes the same manifest, ``env`` aside."""
+        manager = JobManager(tmp_path / "jobs", runner=lambda job: None)
+        for doc in (TINY, {**TINY, "mitigation": ["tent:steps=2"],
+                           "shard_size": 4, "batch_size": 2, "workers": 2,
+                           "retries": 1}):
+            job, _ = manager.submit(dict(doc))
+            session = job.spec.run.to_session(manager.store, job.id)
+            assert session.ledger.run_id == job.id   # raises on drift
+            submitted = manager.store.read_manifest(job.id)
+            fresh = job.spec.run.to_session(tmp_path / "fresh")
+            fresh = fresh.ledger.manifest
+            for manifest in (submitted, fresh):
+                del manifest["env"]
+            assert submitted.pop("serve")["digest"] == job.spec.digest()
+            assert submitted == fresh
 
 
 # ---------------------------------------------------------------------------
