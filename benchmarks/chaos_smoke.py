@@ -13,8 +13,8 @@ of them with a deterministic ``REPRO_FAULTS`` plan:
   torn_write), leaving a newline-less fragment; the clean worker heals it
   and finishes.
 * **poison** — *every* worker's evaluation of the int8 cells raises
-  (``sweep.cell`` raise); after the claim budget the cell is quarantined
-  as a structured failure and the sweep still completes.
+  (``sweep.cell`` raise); the cell's last allowed claim records the raised
+  error as a structured failure and the sweep still completes.
 * **bitrot** — a worker's append is silently corrupted on disk
   (``runstore.append`` bitrot); the CRC refutes it on replay, ``repro
   fsck --repair`` quarantines it, and ``repro resume`` re-executes only
@@ -234,8 +234,9 @@ def scenario_poison(tmp: Path, ref_ledger: Path) -> None:
     evals = [e for e in _entries(ledger) if e.get("kind") == "eval"]
     failed = [e for e in evals if e.get("status") != "ok"]
     assert failed, "no cell was quarantined"
-    assert all("poisoned" in str(e.get("error")) for e in failed), \
-        f"unexpected failure modes: {failed}"
+    # The last allowed claim raised, so the cell records that exception.
+    assert all("injected at sweep.cell" in str(e.get("error"))
+               for e in failed), f"unexpected failure modes: {failed}"
     assert all("int8" in str(e.get("label")) for e in failed), \
         f"poison leaked beyond the int8 cells: {failed}"
     # Surviving cells carry the exact reference values.

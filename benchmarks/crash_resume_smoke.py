@@ -4,13 +4,13 @@ Scenario, end to end through the real CLI:
 
 1. Run an *uninterrupted* ``repro run`` as the reference table.
 2. Start the same run (same seed) against a fresh store with a 2-worker
-   process-mode sweep, wait until the ledger shows a few completed
-   evaluations, and SIGKILL the whole process group mid-sweep.
+   process-mode sweep (two helper processes on the lease walk), wait
+   until the ledger shows a few completed evaluations, and SIGKILL the
+   whole process group mid-sweep.
 3. ``repro resume`` the killed run.
 4. Repeat the kill+resume against a *sharded* run (``--shard-size``, ≥4
-   shards per cell, (variant × shard) process scheduling), killing as soon
-   as a few per-**shard** ledger entries exist — i.e. mid-dataset, inside
-   a cell.
+   shards per cell, (variant × shard) claims), killing as soon as a few
+   per-**shard** ledger entries exist — i.e. mid-dataset, inside a cell.
 5. Fault-tolerant shared mode: ``repro run --prepare-only`` the same
    sharded run, launch **three** ``repro worker`` processes against it
    (``--lease-ttl 2``), SIGKILL one mid-shard, SIGSTOP another while it
@@ -34,6 +34,10 @@ Pass criteria (the ISSUE's acceptance bar):
 * the resumed mitigation sweep renders both rows (clean + ``+tent``)
   byte-identically, no eval cell or shard ledgered twice across the
   mitigated grid, and a mismatched ``--mitigate`` on resume is refused.
+
+Every ``repro`` subprocess runs with ``TMPDIR`` inside the smoke's work
+directory, so the per-sweep scratch directories a SIGKILLed process-mode
+run leaves behind are removed with it.
 
 Exit status 0 on success; any assertion failure exits non-zero.
 """
@@ -125,6 +129,10 @@ def full_table(output: str, rows: int) -> list[str]:
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="crash-resume-"))
     print(f"workdir: {tmp} (removed on exit)")
+    # Every repro subprocess makes its temporary files here, so the sweep
+    # scratch directories of the runs this smoke SIGKILLs go with it.
+    (tmp / "tmp").mkdir()
+    os.environ["TMPDIR"] = str(tmp / "tmp")
     try:
         return smoke(tmp)
     finally:

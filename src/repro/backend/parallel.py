@@ -4,7 +4,8 @@
 threads, serve job threads) are the only source of parallelism, so every
 GEMM runs single-threaded inside its caller's thread.
 :func:`pin_blas_threads` sets the loaded OpenBLAS to one thread;
-``repro.cli.main`` and process-pool workers call it before any work.
+``repro.cli.main`` and process-mode sweep helpers call it before any
+work.
 :func:`available_cores` is the one core-count probe in the package.
 
 **Heap policy.**  :func:`retain_heap` keeps freed array buffers resident

@@ -51,9 +51,9 @@ def _add_spec_args(p: argparse.ArgumentParser, sweep: bool = False) -> None:
                         "(capped at the cores available to the process; "
                         "default: serial)")
     p.add_argument("--mode", choices=("thread", "process"), default="thread",
-                   help="worker pool flavour: threads share the session "
-                        "caches; processes sidestep the GIL and share the "
-                        "decoded dataset via POSIX shared memory")
+                   help="worker flavour: threads share the session "
+                        "caches; processes sidestep the GIL as helpers "
+                        "dividing the cells through leases")
     p.add_argument("--batch-size", type=int, default=None,
                    help="evaluation minibatch size (default: adapter choice)")
     p.add_argument("--shard-size", type=int, default=None,

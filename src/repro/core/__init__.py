@@ -52,9 +52,8 @@ from .runstore import (RunLedger, RunStore, config_digest, expected_cells,
 from .session import BenchmarkSession, NoiseResult, Session, SessionResult
 from .spec import RunSpec
 from .sweep import SweepCancelled, SweepEngine
-from .tasks import (NLPDataset, TaskAdapter, evaluate_for_task,
-                    evaluate_partial_for_task, get_task, register_task,
-                    task_names, unregister_task)
+from .tasks import (NLPDataset, TaskAdapter, evaluate_for_task, get_task,
+                    register_task, task_names, unregister_task)
 from .training import (default_train_config, train_classification_model,
                        train_detection_model, train_segmentation_model)
 from .workqueue import Lease, WorkQueue
@@ -69,8 +68,7 @@ __all__ = [
     "noises_for_task", "worst_case_stack",
     # task registry
     "TaskAdapter", "register_task", "unregister_task", "get_task",
-    "task_names", "evaluate_for_task", "evaluate_partial_for_task",
-    "NLPDataset",
+    "task_names", "evaluate_for_task", "NLPDataset",
     # mitigation registry
     "MitigationSpec", "register_mitigation", "unregister_mitigation",
     "temporary_mitigation", "get_mitigation", "mitigation_names",

@@ -198,6 +198,29 @@ def mitigation_identity(name: str, **params) -> dict:
     return {"name": name, "params": spec.resolved_params(params)}
 
 
+def mitigation_labels(mitigations) -> list[str]:
+    """The table-row label of each identity dict on one mitigation axis.
+
+    A name that is unique on the axis is its own label (``tent``); entries
+    that share a name add the parameters that differ between them, in the
+    spec-string grammar (``tent:steps=1`` and ``tent:steps=2``), so no two
+    rows of one table collide.
+    """
+    labels = []
+    for mit in mitigations:
+        params = mit.get("params", {})
+        peers = [m.get("params", {}) for m in mitigations
+                 if m["name"] == mit["name"]]
+        if len(peers) == 1:
+            labels.append(mit["name"])
+            continue
+        differ = sorted(k for k in params
+                        if any(p.get(k) != params[k] for p in peers))
+        labels.append(mit["name"] + ":" + ",".join(
+            f"{k}={params[k]}" for k in differ))
+    return labels
+
+
 def mitigation_stage(mitigation) -> str:
     """``"train"`` or ``"test"`` for an identity dict or bare name."""
     name = mitigation["name"] if isinstance(mitigation, dict) else mitigation

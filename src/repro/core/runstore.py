@@ -1225,13 +1225,15 @@ def ledger_table(ledger: RunLedger, title: str | None = None) -> str:
     yet in a partially complete run — render as ``!``.
 
     Runs swept with mitigations render one extra row per mitigation
-    (labelled ``<model>+<mitigation>``), looked up under that mitigation's
-    folded ledger identity — the robustness-vs-mitigation comparison the
-    paper's Tables 6–8 make, clean Δ against mitigated Δ per noise family.
+    (labelled ``<model>+<label>``, see
+    :func:`~repro.core.mitigations.mitigation_labels`), looked up under
+    that mitigation's folded ledger identity — the robustness-vs-mitigation
+    comparison the paper's Tables 6–8 make, clean Δ against mitigated Δ per
+    noise family.
     """
     import numpy as np
 
-    from .mitigations import mitigated_digest
+    from .mitigations import mitigated_digest, mitigation_labels
     from .noise import TRAIN_CONFIG
     from .registry import combined_config, get_noise
     from .report import render_table
@@ -1305,8 +1307,9 @@ def ledger_table(ledger: RunLedger, title: str | None = None) -> str:
         return row
 
     rows = {label: build_row(None)}
-    for mit in manifest.get("mitigations", ()):
-        rows[f"{label}+{mit['name']}"] = build_row(mit)
+    mitigations = list(manifest.get("mitigations", ()))
+    for mit, name in zip(mitigations, mitigation_labels(mitigations)):
+        rows[f"{label}+{name}"] = build_row(mit)
 
     title = title or (f"SysNoise run {ledger.run_id} — {label} "
                       f"({manifest.get('task', '?')})")

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 from .cache import DecodeCache, EvalCache
 from .mitigations import (checkpoint_name, get_mitigation,
-                          mitigation_identity, mitigation_stage,
-                          mitigation_train)
+                          mitigation_identity, mitigation_labels,
+                          mitigation_stage, mitigation_train)
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import get_noise
 from .sweep import NoiseResult, SweepEngine
@@ -69,9 +69,10 @@ class SessionResult:
     combined: float | None = None
     #: Ledger run id when the session was attached to a RunStore.
     run_id: str | None = None
-    #: Mitigated rows: mitigation name -> ``noise_row`` dict.  The clean
-    #: fields above stay the unmitigated row, so pre-mitigation callers
-    #: keep reading exactly what they always did.
+    #: Mitigated rows: mitigation label (see
+    #: :func:`~repro.core.mitigations.mitigation_labels`) -> ``noise_row``
+    #: dict.  The clean fields above stay the unmitigated row, so
+    #: pre-mitigation callers keep reading exactly what they always did.
     mitigated: dict[str, dict] = field(default_factory=dict)
 
     def row(self) -> dict:
@@ -235,9 +236,10 @@ class BenchmarkSession:
         """Fan variant evaluations out over ``n`` workers (None = serial).
 
         ``mode="thread"`` shares this session's caches across a thread
-        pool; ``mode="process"`` sidesteps the GIL entirely — variant
-        evaluations run in worker processes that receive the model/dataset
-        once and the decoded clean pixel batch through POSIX shared memory.
+        pool; ``mode="process"`` sidesteps the GIL entirely — ``n`` helper
+        processes divide the variant cells through the same lease walk
+        ``repro worker`` fleets run (over this session's run ledger, or a
+        temporary one without a store) while this process supervises.
         ``mode="shared"`` coordinates with *other processes* sharing this
         session's run directory (``repro worker``) via lease files instead
         of owning a pool — ``n`` is ignored there.  Parallel, shared, and
@@ -250,12 +252,13 @@ class BenchmarkSession:
 
     def lease(self, ttl: float = 30.0, max_claims: int = 3,
               ) -> "BenchmarkSession":
-        """Tune the shared-run lease protocol (``mode="shared"`` only).
+        """Tune the shared-run lease protocol.
 
         ``ttl`` is how long a worker that stops heartbeating keeps its
         claims before peers reclaim them; ``max_claims`` is the per-cell
         claim budget before a repeatedly-fatal cell is quarantined as
-        failed-poisoned.  See :mod:`repro.core.workqueue`.
+        failed-poisoned.  See :mod:`repro.core.workqueue`.  Process-mode
+        helpers take ``ttl`` too; their claim budget is ``retries + 1``.
         """
         self._lease_ttl = float(ttl)
         self._max_claims = int(max_claims)
@@ -271,8 +274,9 @@ class BenchmarkSession:
 
         With a shard size, every evaluation decodes and pre-processes the
         dataset in shard-sized chunks (peak memory bounded by one shard, not
-        the dataset), process-mode sweeps schedule ``(variant × shard)``
-        work items whose partial metric accumulators merge in the parent,
+        the dataset), shared and process-mode sweeps claim ``(variant ×
+        shard)`` work items shard-major, decoding each shard once per
+        pass, and merge their partial metric accumulators from the ledger,
         and — with a :meth:`store` attached — the ledger records per-shard
         entries so a crash mid-dataset resumes at shard granularity.
         Results are bit-identical to the monolithic path: inference
@@ -287,7 +291,7 @@ class BenchmarkSession:
     def retries(self, n: int) -> "BenchmarkSession":
         """Retry budget per evaluation before recording a structured failure.
 
-        With the default 0, a raising (or worker-killing) evaluation is
+        With the default 0, a raising (or helper-killing) evaluation is
         recorded as a failed cell on the first strike; the rest of the sweep
         still completes and renders (failed cells show as ``!``).
         """
@@ -640,9 +644,10 @@ class BenchmarkSession:
                                skip=self._skip,
                                include_combined=self._include_combined)
         mitigated = {}
-        for mit in self._mitigations:
+        for mit, name in zip(self._mitigations,
+                             mitigation_labels(self._mitigations)):
             m_engine = self.engine(mitigation=mit)
-            mitigated[mit["name"]] = m_engine.noise_row(
+            mitigated[name] = m_engine.noise_row(
                 self._eval_fn(adapter, mitigation=mit),
                 self._mitigated_model(mit), ds, noises, skip=self._skip,
                 include_combined=self._include_combined)
@@ -668,9 +673,9 @@ class BenchmarkSession:
         test_mit = (mitigation if mitigation is not None
                     and mitigation_stage(mitigation) == "test" else None)
         if self._mode == "process":
-            # Process workers cannot share the session's lock-bearing
+            # Process-mode helpers cannot share the session's lock-bearing
             # caches; ship a picklable adapter-registry entry point instead
-            # (each worker keeps a process-local decode cache).
+            # (each helper keeps a process-local decode cache).
             import functools
 
             from .tasks import evaluate_for_task

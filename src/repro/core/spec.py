@@ -188,9 +188,9 @@ class RunSpec:
 
 def number_field(doc: dict, key: str, default, *, lo, hi, integer=True):
     """``doc[key]`` (or ``default``) checked to be a number in [lo, hi];
-    an integer field may also be None."""
+    a field whose default is None may also be None."""
     value = doc.get(key, default)
-    if value is None and integer:
+    if value is None and default is None:
         return None
     if (isinstance(value, bool)
             or not isinstance(value, int if integer else (int, float))):

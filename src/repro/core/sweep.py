@@ -8,17 +8,17 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
 * **Fan-out** — variant evaluations are dispatched over a
   ``concurrent.futures.ThreadPoolExecutor`` when ``workers`` is set (the
   heavy work is NumPy, which releases the GIL for its inner loops), or —
-  with ``mode="process"`` — over a ``ProcessPoolExecutor`` that sidesteps
-  the GIL entirely: workers receive the ``(evaluate, model, dataset)``
-  payload once via the pool initializer and the decoded clean pixel batch
-  through POSIX shared memory, so neither the dataset nor its baseline
-  decode is copied or replayed per worker.  The requested width is capped
-  at the cores *available to the process* (affinity/cgroup aware, see
-  :func:`available_cores`) and the effective width is logged.  The default
-  ``workers=None`` keeps the exact serial order, so determinism-sensitive
-  callers see no change.  Results are always assembled in variant order
-  regardless of completion order, so parallel, process-parallel, and
-  serial sweeps produce identical output.
+  with ``mode="process"`` — to helper *processes* that sidestep the GIL
+  entirely: each helper runs the same lease walk ``repro worker`` fleets
+  run (``mode="shared"``, see :meth:`SweepEngine._shared_map`) over the
+  run's ledger while the parent only supervises, so a process sweep
+  divides cells shard-major and decodes each shard once per pass.  The
+  requested width is capped at the cores *available to the process*
+  (affinity/cgroup aware, see :func:`available_cores`) and the effective
+  width is logged.  The default ``workers=None`` keeps the exact serial
+  order, so determinism-sensitive callers see no change.  Results are
+  always assembled in variant order regardless of completion order, so
+  parallel, process-parallel, and serial sweeps produce identical output.
 
 * **Shared baselines** — every metric is memoised in a
   :class:`~repro.core.cache.EvalCache` keyed per
@@ -27,8 +27,8 @@ clean baseline for every table row.  :class:`SweepEngine` fixes both:
   :meth:`SweepEngine.sweep_noise`, every :meth:`SweepEngine.noise_row`, and
   :meth:`SweepEngine.worst_case_curve` instead of being recomputed per row.
 
-* **Fault isolation** — a raising ``evaluate()`` (or a crashed process-pool
-  worker) no longer aborts the sweep: the failing cell is retried up to the
+* **Fault isolation** — a raising ``evaluate()`` (or a killed process-mode
+  helper) no longer aborts the sweep: the failing cell is retried up to the
   engine's ``retries`` budget, then recorded as a *structured failure* (a
   ``NaN`` value plus the exception text in :attr:`NoiseResult.errors`) while
   every surviving variant still lands in the row.  Failed cells render as
@@ -61,17 +61,16 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..backend.parallel import (available_cores, pin_blas_threads,
                                 retain_heap)
-from .cache import (DecodeCache, EvalCache, dataset_token, eval_key,
-                    streams_digest)
+from .cache import DecodeCache, EvalCache, dataset_token, eval_key
 from .faults import fault_point
 from .noise import NoiseConfig, TRAIN_CONFIG
 from .registry import combined_config, get_noise, worst_case_stack
@@ -85,7 +84,8 @@ class SweepCancelled(RuntimeError):
     """Raised between cells when the engine's ``should_stop`` hook fires.
 
     Cancellation is *cooperative and cell-granular*: the check runs before
-    each evaluation (and before each process round), never inside one, so
+    each evaluation (and at least every 0.5 s while process-mode helpers
+    run, which are then terminated), never inside one, so
     every entry already in the run ledger is complete and the interrupted
     run resumes exactly like a crashed one — via ledger replay.  This is
     what lets a serving layer cancel a queued-behind job or drain on
@@ -152,9 +152,9 @@ class SweepEngine:
     mutates the model: evaluators already work on deployment copies, so
     concurrent variants are independent.
 
-    ``retries`` is the per-cell retry budget: a raising evaluation (or a
-    crashed process-pool batch) is re-attempted that many extra times before
-    being recorded as a structured failure.  ``ledger`` (a
+    ``retries`` is the per-cell retry budget: a raising evaluation (or one
+    that kills its process-mode helper) is re-attempted that many extra
+    times before being recorded as a structured failure.  ``ledger`` (a
     :class:`~repro.core.runstore.RunLedger`) makes the engine crash-safe:
     completed cells are appended to the on-disk ledger as they finish and
     skipped on re-runs; ``model_key`` is the stable model identity used in
@@ -196,11 +196,11 @@ class SweepEngine:
         self.model_key = model_key
         #: Shard streaming: with ``shard_size`` and a registered ``task``,
         #: cells evaluate through the adapter's shard pipeline (bounded
-        #: memory, per-shard ledger entries, (variant × shard) process
-        #: scheduling).  ``pipeline_cache`` memoises the calibration slice
-        #: and deployment-model copies; decoded data chunks are cached only
-        #: in a shared sweep's one-shard scratch (see :meth:`_shared_map`)
-        #: and by process-mode workers.
+        #: memory, per-shard ledger entries, (variant × shard) claims in
+        #: shared and process sweeps).  ``pipeline_cache`` memoises the
+        #: calibration slice and deployment-model copies; decoded data
+        #: chunks are cached only in a shared walk's one-shard scratch (see
+        #: :meth:`_shared_map`).
         self.shard_size = shard_size
         self.task = task
         self.batch_size = batch_size
@@ -282,6 +282,11 @@ class SweepEngine:
     def _ledger_key(self, model, ds, cfg) -> tuple | None:
         if self.ledger is None:
             return None
+        return self._cell_identity(model, ds, cfg)
+
+    def _cell_identity(self, model, ds, cfg) -> tuple | None:
+        """``(model key, dataset digest, cfg digest)``: a cell's ledger
+        identity, or None when the dataset has no stable one."""
         token = dataset_token(ds)
         if not isinstance(token, str):
             # No content digest (dataset without encoded ``streams``): the
@@ -528,11 +533,7 @@ class SweepEngine:
             if out is not None:
                 return out
         if self.mode == "process" and self.effective_workers > 1:
-            plan = self._shard_plan(ds)
-            out = (self._process_map_sharded(plan, evaluate, model, ds,
-                                             cfgs, names)
-                   if plan is not None and len(plan[1]) > 1
-                   else self._process_map(evaluate, model, ds, cfgs, names))
+            out = self._fleet_map(evaluate, model, ds, cfgs, names)
             if out is not None:
                 return out
         results = self.map(
@@ -686,18 +687,21 @@ class SweepEngine:
         must discard its result, not double-record it.
 
         An in-process evaluation failure releases the claim *without*
-        recording; the claim itself already burned one attempt in the
-        shared sidecar, so crashes and raises draw from the same
-        ``max_claims`` budget, after which the next claimer quarantines the
-        cell (:meth:`_shared_poison`).
+        recording unless it was the cell's last allowed claim, which records
+        the exception's text (:meth:`_shared_fail`); the claim itself
+        already burned one attempt in the shared sidecar, so crashes and
+        raises draw from the same ``max_claims`` budget, after which the
+        next claimer quarantines a cell whose claims died
+        (:meth:`_shared_poison`).
         """
         tag = self._cell_tag(lkey)
         plan = self._shard_plan(ds)
         if plan is not None and shard is not None:
             adapter, _ = plan
             start, stop = shard
-            if self._ledger_shard_hit(lkey, start, stop) is not None:
-                return False
+            if (self._ledger_shard_hit(lkey, start, stop) is not None
+                    or self.ledger.outcome(*lkey) is not None):
+                return False                   # done, or the cell failed
             item = f"shard-{tag}-{start}-{stop}"
             lease = wq.try_claim(item)
             if lease is None:
@@ -724,6 +728,7 @@ class SweepEngine:
             except Exception as exc:           # noqa: BLE001 — isolate cell
                 logger.warning("shared shard failed (%s @%d:%d): %s",
                                cfg.describe(), start, stop, exc)
+                self._shared_fail(wq, item, lease, lkey, noise, cfg, exc)
                 return True
             finally:
                 lease.release()
@@ -756,6 +761,7 @@ class SweepEngine:
                 logger.warning("shared %s failed (%s): %s",
                                "merge" if plan is not None else "evaluation",
                                cfg.describe(), exc)
+                self._shared_fail(wq, item, lease, lkey, noise, cfg, exc)
                 return True
             if lease.still_owned():
                 key = self._cache_key(model, ds, cfg)
@@ -767,6 +773,17 @@ class SweepEngine:
             return True
         finally:
             lease.release()
+
+    def _shared_fail(self, wq, item: str, lease, lkey, noise: str | None,
+                     cfg: NoiseConfig, exc: Exception) -> None:
+        """Record ``exc`` as the cell's outcome when this was its last
+        allowed claim — the text a serial sweep records for the same raise.
+        An earlier claim only releases, and the next claim retries."""
+        attempts = wq.attempts(item)
+        if attempts >= wq.max_attempts and lease.still_owned():
+            self._ledger_record(lkey, status="error", error=_err_str(exc),
+                                noise=noise, label=cfg.describe(),
+                                attempts=attempts)
 
     def _shared_poison(self, wq, item: str, lkey, noise: str | None,
                        cfg: NoiseConfig) -> None:
@@ -784,317 +801,152 @@ class SweepEngine:
         self._ledger_record(lkey, status="error", error=msg, noise=noise,
                             label=cfg.describe(), attempts=prior)
 
-    # -- process fan-out ----------------------------------------------------
+    # -- process mode: a local fleet of helpers on the lease walk -----------
 
-    def _process_map(self, evaluate, model, ds, cfgs: list[NoiseConfig],
-                     noise_names: list[str | None],
-                     ) -> tuple[list[float], dict[int, str]] | None:
-        """Fan config evaluations out over a process pool, fault-isolated.
+    def _fleet_map(self, evaluate, model, ds, cfgs: list[NoiseConfig],
+                   names: list[str | None],
+                   ) -> tuple[list[float], dict[int, str]] | None:
+        """Run the cells as helper processes walking :meth:`_shared_map`.
 
-        Workers receive ``(evaluate, model, ds)`` once, via the pool
-        initializer, and the decoded clean-config pixel batch through POSIX
-        shared memory (each worker's decode cache is pre-seeded with a
-        zero-copy view), so neither the dataset nor its decode is replayed
-        per job.  Results land in the parent's :class:`EvalCache` (and the
-        run ledger, when attached) under the same keys the serial path uses,
-        and are returned in ``cfgs`` order.
+        Cache and ledger hits resolve here; the rest go to
+        ``min(effective_workers, pending)`` helpers that each run the
+        shared lease walk over the run's ledger (a temporary one for a
+        store-less session), so they divide the cells shard-major exactly
+        like ``repro worker`` fleets.  Their leases live in a per-sweep
+        scratch directory: claim budgets count this sweep's attempts only,
+        with ``retries + 1`` claims per cell.  The parent only supervises
+        (:meth:`_supervise`), then reads every outcome back from the ledger
+        into its :class:`EvalCache`.
 
-        A job that raises in its worker — or dies with it (``SIGKILL``,
-        OOM) — does not abort the batch: the surviving futures are drained,
-        the failed jobs are resubmitted to a *fresh* pool up to the retry
-        budget, and whatever still fails is returned as a structured
-        failure.  Only the ledger-recorded cells of a crashed batch need
-        re-execution on resume.
-
-        Returns None — falling back to the thread/serial path — when the
-        payload is not picklable or the first pool cannot be started at all.
+        Returns None — falling back to the thread/serial path — when fewer
+        than two cells are left, the dataset has no ledger identity, the
+        payload is not picklable, or no helper could start working.
         """
-        keys = []
-        lkeys = []
-        pending: list[int] = []
-        values: list[float | None] = []
+        values: list[float] = [float("nan")] * len(cfgs)
+        cells: list[int] = []
         for i, cfg in enumerate(cfgs):
             key = self._cache_key(model, ds, cfg)
-            keys.append(key)
-            lkeys.append(self._ledger_key(model, ds, cfg))
+            lkey = self._ledger_key(model, ds, cfg)
             hit = self.eval_cache.get(key) if key is not None else None
             if hit is not None:
-                self._ledger_backfill(lkeys[i], hit, cfg, noise_names[i])
+                self._ledger_backfill(lkey, hit, cfg, names[i])
             else:
-                hit = self._ledger_hit(lkeys[i])
+                hit = self._ledger_hit(lkey)
                 if hit is not None and key is not None:
                     self.eval_cache.put(key, hit)
-            values.append(hit)
             if hit is None:
-                pending.append(i)
-        if len(pending) < 2:
+                cells.append(i)
+            else:
+                values[i] = hit
+        lkeys = [self._cell_identity(model, ds, cfgs[i]) for i in cells]
+        if len(cells) < 2 or None in lkeys:
             return None                        # nothing worth forking for
         try:
-            payload = pickle.dumps((evaluate, model, ds))
+            payload = pickle.dumps((evaluate, model, ds,
+                                    [cfgs[i] for i in cells],
+                                    [names[i] for i in cells]))
         except Exception as exc:               # noqa: BLE001 — any pickle error
             logger.warning("process sweep unavailable (payload not "
                            "picklable: %s); falling back to threads", exc)
             return None
-
-        errors: dict[int, str] = {}
-        shm, shm_meta = _share_decoded_dataset(ds)
-        logger.info("sweep fan-out: %d workers requested, %d effective "
-                    "(cores available: %d, mode=process, shared_memory=%s)",
-                    self.workers,
-                    min(self.effective_workers, len(pending)),
-                    available_cores(), shm is not None)
-        try:
-            for attempt in range(1, self.retries + 2):
-                if not pending:
-                    break
-                try:
-                    pending = self._process_round(
-                        payload, shm_meta, cfgs, keys, lkeys, values,
-                        errors, pending, noise_names, attempt)
-                except SweepCancelled:
-                    raise                      # caller decision, not a fault
-                except Exception as exc:       # noqa: BLE001 — pool start
-                    if attempt == 1 and all(values[i] is None
-                                            for i in pending):
-                        # Nothing computed yet: the cheap degradation is the
-                        # historical one — run the whole batch on threads.
-                        logger.warning("process sweep failed (%s); falling "
-                                       "back to threads", exc)
-                        return None
-                    logger.warning("process sweep round %d failed (%s); "
-                                   "%d job(s) still pending",
-                                   attempt, exc, len(pending))
-                    for i in pending:
-                        errors.setdefault(i, _err_str(exc))
-        finally:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:      # pragma: no cover
-                    pass
-        # Whatever is still pending exhausted its retry budget: record the
-        # structured failures and surface NaN cells.
-        for i in pending:
-            error = errors.setdefault(i, "worker crashed")
-            self._ledger_record(lkeys[i], status="error", error=error,
-                                noise=noise_names[i],
-                                label=cfgs[i].describe(),
-                                attempts=self.retries + 1)
-            values[i] = float("nan")
-        return list(values), {i: errors[i] for i in sorted(errors)
-                              if np.isnan(values[i])}
-
-    def _process_round(self, payload, shm_meta, cfgs, keys, lkeys, values,
-                       errors, pending, noise_names, attempt) -> list[int]:
-        """One pool generation over ``pending``; returns what still failed.
-
-        A worker crash breaks the whole ``ProcessPoolExecutor``: the
-        executor resolves every outstanding future — completed ones keep
-        their results, the rest get :class:`BrokenProcessPool` — so every
-        future is still drained here.  Cells that finished before the crash
-        keep their values; casualties (and jobs queued behind them) go back
-        to pending for the next round's fresh pool.
-        """
-        self._check_cancelled()
-        workers = min(self.effective_workers, len(pending))
-        still: list[int] = []
-        broken = False
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_process_worker_init,
-                                 initargs=(payload, shm_meta)) as pool:
-            futures = [(i, pool.submit(_process_eval, cfgs[i]))
-                       for i in pending]
-            for i, fut in futures:
-                try:
-                    value = float(fut.result())
-                except BrokenProcessPool as exc:
-                    if not broken:
-                        broken = True
-                        logger.warning(
-                            "process sweep pool broke on %s (attempt "
-                            "%d/%d): %s", cfgs[i].describe(), attempt,
-                            self.retries + 1, exc)
-                    errors[i] = f"worker crashed: {exc}" if str(exc) else \
-                        "worker crashed (process pool broken)"
-                    still.append(i)
-                    continue
-                except Exception as exc:       # noqa: BLE001 — worker raise
-                    errors[i] = _err_str(exc)
-                    logger.warning(
-                        "evaluation failed in worker (attempt %d/%d, %s): %s",
-                        attempt, self.retries + 1, cfgs[i].describe(), exc)
-                    still.append(i)
-                    continue
-                values[i] = value
-                errors.pop(i, None)
-                if keys[i] is not None:
-                    self.eval_cache.put(keys[i], value)
-                self._ledger_record(lkeys[i], status="ok", value=value,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(),
-                                    attempts=attempt)
-        return still
-
-    # -- (variant × shard) process fan-out ----------------------------------
-
-    def _process_map_sharded(self, plan, evaluate, model, ds,
-                             cfgs: list[NoiseConfig],
-                             noise_names: list[str | None],
-                             ) -> tuple[list[float], dict[int, str]] | None:
-        """Fan ``(variant × shard)`` work items over a process pool.
-
-        Each job evaluates one shard of one config and returns the
-        accumulator's JSON-safe state; the parent merges states per config
-        (order-free — accumulators key by global item index) and computes
-        the cell value, which lands in the eval cache and the ledger under
-        the same keys the serial path uses.  Work items are an order of
-        magnitude finer than whole-cell jobs, so a crashed worker costs one
-        shard, stragglers balance better, and — unlike the whole-dataset
-        path — nothing is ever materialised beyond one shard per worker.
-
-        Ledgered shard states are restored up front; only missing
-        ``(config, shard)`` pairs are submitted.  Returns None to fall back
-        to the thread/serial path (which shards too) when the payload is
-        unpicklable or the first pool cannot start.
-        """
-        adapter, bounds = plan
-        keys, lkeys, values = [], [], []
-        for i, cfg in enumerate(cfgs):
-            key = self._cache_key(model, ds, cfg)
-            keys.append(key)
-            lkeys.append(self._ledger_key(model, ds, cfg))
-            hit = self.eval_cache.get(key) if key is not None else None
-            if hit is not None:
-                self._ledger_backfill(lkeys[i], hit, cfg, noise_names[i])
-            else:
-                hit = self._ledger_hit(lkeys[i])
-                if hit is not None and key is not None:
-                    self.eval_cache.put(key, hit)
-            values.append(hit)
-        pending_cfgs = [i for i, v in enumerate(values) if v is None]
-        states: dict[tuple[int, tuple[int, int]], dict] = {}
-        jobs: list[tuple[int, int, int]] = []
-        for i in pending_cfgs:
-            for start, stop in bounds:
-                state = self._ledger_shard_hit(lkeys[i], start, stop)
-                if state is not None:
-                    states[(i, (start, stop))] = state
+        from .runstore import RunLedger
+        helper_kw = dict(model_key=lkeys[0][0], shard_size=self.shard_size,
+                         task=self.task, batch_size=self.batch_size,
+                         lease_ttl=self.lease_ttl,
+                         max_claims=self.retries + 1,
+                         mitigation=self.mitigation)
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+            ledger = (self.ledger if self.ledger is not None else
+                      RunLedger.create(os.path.join(scratch, "ledger"), {}))
+            if not self._supervise(payload, ledger, scratch, helper_kw,
+                                   lkeys):
+                logger.warning("process sweep helpers could not start; "
+                               "falling back to threads")
+                return None
+            errors: dict[int, str] = {}
+            for i, lkey in zip(cells, lkeys):
+                out = ledger.outcome(*lkey)
+                if out is None:
+                    errors[i] = "worker crashed"
+                    self._ledger_record(self._ledger_key(model, ds, cfgs[i]),
+                                        status="error", error=errors[i],
+                                        noise=names[i],
+                                        label=cfgs[i].describe(),
+                                        attempts=self.retries + 1)
+                elif out.get("status") == "ok":
+                    values[i] = float(out["value"])
+                    key = self._cache_key(model, ds, cfgs[i])
+                    if key is not None:
+                        self.eval_cache.put(key, values[i])
                 else:
-                    jobs.append((i, start, stop))
-        if len(jobs) < 2:
-            return None                        # nothing worth forking for
-        try:
-            # Shard workers evaluate through the adapter registry, never
-            # through the caller's callable — ship only model + dataset so
-            # an unpicklable closure doesn't cost the process fan-out.
-            payload = pickle.dumps((None, model, ds))
-        except Exception as exc:               # noqa: BLE001 — any pickle error
-            logger.warning("process sweep unavailable (payload not "
-                           "picklable: %s); falling back to threads", exc)
-            return None
-        shard_ctx = (self.task, self.batch_size, self._test_mitigation)
-        errors: dict[int, str] = {}
-        logger.info("sweep fan-out: %d workers requested, %d effective "
-                    "(cores available: %d, mode=process, %d (variant x "
-                    "shard) work items over %d shards)",
-                    self.workers, min(self.effective_workers, len(jobs)),
-                    available_cores(), len(jobs), len(bounds))
-        pending = jobs
-        restored = len(states)
-        for attempt in range(1, self.retries + 2):
-            if not pending:
-                break
-            try:
-                pending = self._process_round_sharded(
-                    payload, shard_ctx, cfgs, lkeys, states, errors,
-                    pending, noise_names, attempt)
-            except SweepCancelled:
-                raise                          # caller decision, not a fault
-            except Exception as exc:           # noqa: BLE001 — pool start
-                if attempt == 1 and len(states) == restored:
-                    # Nothing computed yet: degrade to the serial/thread
-                    # path, which streams shards too.
-                    logger.warning("process sweep failed (%s); falling "
-                                   "back to threads", exc)
-                    return None
-                logger.warning("process sweep round %d failed (%s); "
-                               "%d shard job(s) still pending",
-                               attempt, exc, len(pending))
-                for i, _, _ in pending:
-                    errors.setdefault(i, _err_str(exc))
-        out_errors: dict[int, str] = {}
-        for i in pending_cfgs:
-            got = [states.get((i, b)) for b in bounds]
-            if all(state is not None for state in got):
-                acc = adapter.accumulator(ds)
-                for state in got:
-                    acc.merge(adapter.accumulator(ds).load_state(state))
-                value = acc.value()
-                values[i] = value
-                if keys[i] is not None:
-                    self.eval_cache.put(keys[i], value)
-                self._ledger_record(lkeys[i], status="ok", value=value,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(), attempts=1)
-            else:
-                error = errors.get(i, "worker crashed")
-                self._ledger_record(lkeys[i], status="error", error=error,
-                                    noise=noise_names[i],
-                                    label=cfgs[i].describe(),
-                                    attempts=self.retries + 1)
-                values[i] = float("nan")
-                out_errors[i] = error
-        return list(values), out_errors
+                    errors[i] = str(out.get("error", "unknown failure"))
+        return values, errors
 
-    def _process_round_sharded(self, payload, shard_ctx, cfgs, lkeys,
-                               states, errors, pending, noise_names,
-                               attempt) -> list[tuple[int, int, int]]:
-        """One pool generation over pending (config, shard) jobs.
+    def _supervise(self, payload: bytes, ledger, scratch: str,
+                   helper_kw: dict, lkeys: list[tuple]) -> bool:
+        """Keep helpers running until every cell in ``lkeys`` is resolved.
 
-        Completed shards land in ``states`` (and the ledger) immediately;
-        casualties of a broken pool go back to pending for the next round's
-        fresh pool, exactly like the whole-cell rounds — but the unit of
-        loss is one shard, not one dataset pass.
+        The parent never claims, so it holds no lease heartbeat thread when
+        it forks.  A helper that dies has its leases removed at once (a
+        replacement need not wait out ``lease_ttl``) and is replaced while
+        cells are unresolved, up to ``cells × (retries + 1) + helpers``
+        starts in all; what is still unresolved after that is the caller's
+        ``worker crashed``.  Helpers still polling when the last cell lands
+        are terminated, as they are when ``should_stop`` fires, which
+        raises :class:`SweepCancelled`.  Returns False when every helper
+        died before any of them made a claim (nothing started working).
         """
-        self._check_cancelled()
-        workers = min(self.effective_workers, len(pending))
-        still: list[tuple[int, int, int]] = []
-        broken = False
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_process_worker_init,
-                                 initargs=(payload, None, shard_ctx)) as pool:
-            futures = [((i, start, stop),
-                        pool.submit(_process_eval_shard, cfgs[i], start, stop))
-                       for i, start, stop in pending]
-            for (i, start, stop), fut in futures:
-                try:
-                    state = fut.result()
-                except BrokenProcessPool as exc:
-                    if not broken:
-                        broken = True
-                        logger.warning(
-                            "process sweep pool broke on %s shard "
-                            "[%d, %d) (attempt %d/%d): %s",
-                            cfgs[i].describe(), start, stop, attempt,
-                            self.retries + 1, exc)
-                    errors[i] = f"worker crashed: {exc}" if str(exc) else \
-                        "worker crashed (process pool broken)"
-                    still.append((i, start, stop))
-                    continue
-                except Exception as exc:       # noqa: BLE001 — worker raise
-                    errors[i] = _err_str(exc)
-                    logger.warning(
-                        "shard evaluation failed in worker (attempt "
-                        "%d/%d, %s [%d, %d)): %s", attempt,
-                        self.retries + 1, cfgs[i].describe(), start, stop,
-                        exc)
-                    still.append((i, start, stop))
-                    continue
-                states[(i, (start, stop))] = state
-                self._ledger_shard_record(lkeys[i], start, stop, state,
-                                          noise_names[i], cfgs[i])
-        return still
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        from .workqueue import WorkQueue
+        wq = WorkQueue(scratch)                # the helpers' lease namespace
+        width = min(self.effective_workers, len(lkeys))
+        budget = len(lkeys) * (self.retries + 1) + width
+        logger.info("sweep fan-out: %d workers requested, %d effective "
+                    "(cores available: %d, mode=process)",
+                    self.workers, width, available_cores())
+        helpers: list = []
+
+        def resolved() -> bool:
+            ledger.refresh()
+            return all(ledger.outcome(*k) is not None for k in lkeys)
+
+        def start() -> None:
+            proc = multiprocessing.Process(
+                target=_sweep_helper, daemon=True,
+                args=(payload, str(ledger.path), scratch, helper_kw))
+            proc.start()
+            helpers.append(proc)
+
+        try:
+            for _ in range(width):
+                start()
+            started = width
+            while not resolved():
+                if not helpers:
+                    break                      # the restart budget is spent
+                self._check_cancelled()
+                wait([p.sentinel for p in helpers], timeout=0.5)
+                for proc in [p for p in helpers if p.exitcode is not None]:
+                    helpers.remove(proc)
+                    if proc.exitcode == 0:
+                        continue               # it saw every cell resolved
+                    logger.warning("sweep helper %d exited with %d",
+                                   proc.pid, proc.exitcode)
+                    wq.free_dead(proc.pid)
+                    claimed = wq.claimed()
+                    if not claimed and not helpers:
+                        return False           # none got as far as a claim
+                    if claimed and started < budget and not resolved():
+                        start()
+                        started += 1
+            return True
+        finally:
+            for proc in helpers:
+                proc.terminate()
+            for proc in helpers:
+                proc.join()
 
     # -- sweep primitives ---------------------------------------------------
 
@@ -1179,121 +1031,30 @@ class SweepEngine:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool worker side
+# Process-mode helper side
 # ---------------------------------------------------------------------------
 
-#: Per-worker state installed by the pool initializer (one unpickle of the
-#: (evaluate, model, ds) payload per worker, not per job).
-_WORKER: dict = {}
+def _sweep_helper(payload: bytes, ledger_path: str, scratch: str,
+                  engine_kw: dict) -> None:
+    """One process-mode helper: the shared lease walk over one ledger.
 
-
-def _share_decoded_dataset(ds):
-    """Publish the clean-config decoded pixel batch in POSIX shared memory.
-
-    Returns ``(shm, meta)``; ``(None, None)`` for datasets without encoded
-    ``streams`` (NLP/audio) or when shared memory is unavailable.  The
-    parent decodes once (usually already memoised from the baseline
-    evaluation) and every worker maps the same pages read-only instead of
-    re-decoding or copying the dataset per process.
+    ``payload`` pickles ``(evaluate, model, ds, cfgs, names)``; the leases
+    live under ``scratch``.  Exits non-zero when the walk cannot
+    coordinate (its ledger writes failed).
     """
-    streams = getattr(ds, "streams", None)
-    if streams is None:
-        return None, None
-    shm = None
-    try:
-        from multiprocessing import shared_memory
-
-        from .pipeline import decode_dataset
-        decoded = decode_dataset(streams, TRAIN_CONFIG.decoder)
-        shm = shared_memory.SharedMemory(create=True, size=decoded.nbytes)
-        np.ndarray(decoded.shape, dtype=decoded.dtype,
-                   buffer=shm.buf)[:] = decoded
-        import multiprocessing
-        meta = (shm.name, decoded.shape, decoded.dtype.str,
-                streams_digest(streams), TRAIN_CONFIG.decoder,
-                multiprocessing.get_start_method())
-        return shm, meta
-    except Exception as exc:                   # noqa: BLE001 — best-effort
-        # A segment created before the failure (e.g. the copy-in or meta
-        # construction raised) must not outlive this call: without the
-        # unlink the kernel keeps the pages until reboot.
-        if shm is not None:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:          # pragma: no cover
-                pass
-        logger.warning("shared-memory dataset unavailable (%s); workers "
-                       "will decode independently", exc)
-        return None, None
-
-
-def _process_worker_init(payload: bytes, shm_meta, shard_ctx=None) -> None:
-    # A pool of N sweep workers whose GEMMs each fan out over OpenBLAS's
-    # own threads oversubscribes the host, so workers pin a one-thread
-    # BLAS; an explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS set by the
-    # operator is honoured as-is.  Spawned workers do not inherit the
-    # parent's heap policy, so they set it too.
+    # N helpers whose GEMMs each fan out over OpenBLAS's own threads
+    # oversubscribe the host, so helpers pin a one-thread BLAS (an
+    # explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is honoured) and
+    # keep freed buffers resident: a spawned helper inherits neither.
     retain_heap()
     pin_blas_threads()
-    evaluate, model, ds = pickle.loads(payload)
-    _WORKER.update(evaluate=evaluate, model=model, ds=ds,
-                   shard_ctx=shard_ctx)
-    if shm_meta is None:
-        return
-    name, shape, dtype_str, digest, decoder, start_method = shm_meta
-    try:
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(name=name)
-    except Exception as exc:                   # noqa: BLE001 — degraded mode
-        # The worker still functions — it just re-decodes the dataset per
-        # process — but that silently multiplies the decode cost by the
-        # worker count, so it must be *visible*, never swallowed.
-        logger.warning("worker %d could not attach shared-memory dataset "
-                       "%s (%s); falling back to a per-process decode",
-                       os.getpid(), name, exc)
-        return
-    if start_method == "spawn":
-        # A spawned worker has its own resource tracker, and the attach
-        # above registered the segment with it — which would unlink the
-        # parent's segment at worker exit.  The parent owns the
-        # lifetime; forked workers share the parent's tracker and must
-        # NOT unregister (that would double-free the parent's entry).
-        # The catch is narrow on purpose: only the unregister bookkeeping
-        # may be forgiven here, not the shm attach/seed work around it.
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except (ImportError, AttributeError, KeyError, ValueError) as exc:
-            logger.warning("worker %d could not unregister segment %s from "
-                           "its resource tracker (%s); the segment may be "
-                           "unlinked early at worker exit", os.getpid(),
-                           name, exc)
-    try:
-        from .pipeline import default_decode_cache
-        decoded = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        _WORKER["shm"] = shm                   # keep the mapping alive
-        # Seed this worker's decode cache with the zero-copy view: the clean
-        # baseline pre-processing never re-decodes in any worker.
-        default_decode_cache()._put((digest, decoder), decoded)
-    except Exception as exc:                   # noqa: BLE001 — degraded mode
-        shm.close()
-        _WORKER.pop("shm", None)
-        logger.warning("worker %d could not seed its decode cache from "
-                       "shared memory (%s); falling back to a per-process "
-                       "decode", os.getpid(), exc)
+    evaluate, model, ds, cfgs, names = pickle.loads(payload)
+    from .runstore import RunLedger
+    from .workqueue import WorkQueue
+    engine = SweepEngine(mode="shared", ledger=RunLedger(ledger_path),
+                         pipeline_cache=DecodeCache(), **engine_kw)
+    engine._workqueue = WorkQueue(scratch, ttl=engine.lease_ttl,
+                                  max_attempts=engine.max_claims)
+    if engine._shared_map(evaluate, model, ds, cfgs, names) is None:
+        raise SystemExit(1)
 
-
-def _process_eval(cfg: NoiseConfig) -> float:
-    w = _WORKER
-    return float(w["evaluate"](w["model"], w["ds"], cfg))
-
-
-def _process_eval_shard(cfg: NoiseConfig, start: int, stop: int) -> dict:
-    """One (config, shard) job → the accumulator's JSON-safe state."""
-    w = _WORKER
-    task, batch_size, mitigation = w["shard_ctx"]
-    from .tasks import evaluate_partial_for_task
-    return evaluate_partial_for_task(task, w["model"], w["ds"], cfg,
-                                     start, stop, batch_size=batch_size,
-                                     mitigation=mitigation)

@@ -50,8 +50,7 @@ from .pipeline import deployment_model, preprocess_dataset, preprocess_shards
 from .registry import noises_for_task
 
 __all__ = ["TaskAdapter", "register_task", "unregister_task", "get_task",
-           "task_names", "evaluate_for_task", "evaluate_partial_for_task",
-           "NLPDataset"]
+           "task_names", "evaluate_for_task", "NLPDataset"]
 
 _TASKS: dict[str, "TaskAdapter"] = {}
 
@@ -91,7 +90,7 @@ def evaluate_for_task(task: str, model, ds, cfg: NoiseConfig = TRAIN_CONFIG,
     ``functools.partial(evaluate_for_task, "cls", batch_size=...)`` crosses
     process boundaries (unlike session closures, which capture lock-bearing
     caches), so it is what :class:`~repro.core.sweep.SweepEngine` ships to
-    ``mode="process"`` workers.  Each worker resolves the adapter from its
+    ``mode="process"`` helpers.  Each helper resolves the adapter from its
     own registry and uses its own process-local decode cache.
 
     ``mitigation`` is a *test-time* mitigation identity dict (see
@@ -112,38 +111,6 @@ def evaluate_for_task(task: str, model, ds, cfg: NoiseConfig = TRAIN_CONFIG,
             batch_size=batch_size, chunk_size=shard_size, chunk_cache=cache):
         acc.merge(part)
     return acc.value()
-
-
-def evaluate_partial_for_task(task: str, model, ds, cfg: NoiseConfig,
-                              start: int, stop: int, *,
-                              batch_size: int | None = None,
-                              mitigation: dict | None = None) -> dict:
-    """One shard's evaluation → the accumulator's JSON-safe ``state()``.
-
-    The picklable shard work unit a process-mode sharded sweep ships to its
-    workers: bit-exact merging requires ``start`` to sit on a global
-    minibatch boundary (see :meth:`TaskAdapter.stream_align`), which the
-    engine's :func:`~repro.core.datapipe.shard_bounds` alignment guarantees.
-    The worker's process-local decode cache doubles as the chunk cache, so
-    shards whose decode was pre-seeded (or repeats across configs) skip it.
-    A test-time ``mitigation`` identity reroutes the shard through that
-    mitigation's streaming hook (same alignment contract).
-    """
-    from .pipeline import default_decode_cache
-    adapter = get_task(task)
-    cache = default_decode_cache()
-    if mitigation is not None:
-        from .mitigations import mitigation_partials
-        parts = mitigation_partials(mitigation, adapter, model, ds, cfg,
-                                    [(start, stop)], cache=cache,
-                                    batch_size=batch_size, chunk_cache=cache)
-    else:
-        parts = adapter.evaluate_partials(model, ds, cfg, [(start, stop)],
-                                          cache=cache, batch_size=batch_size,
-                                          chunk_cache=cache)
-    for _, _, acc in parts:
-        return acc.state()
-    raise ValueError(f"empty shard [{start}, {stop})")
 
 
 class TaskAdapter:

@@ -54,6 +54,11 @@ _LEASE_SUFFIX = ".lease"
 _ATTEMPTS_SUFFIX = ".attempts"
 
 
+def _local_owner(pid: int) -> str:
+    """The owner string a worker process ``pid`` on this host claims as."""
+    return f"{os.uname().nodename}:{pid}"
+
+
 class Lease:
     """One held lease: heartbeat thread + ownership fencing + release."""
 
@@ -145,7 +150,7 @@ class WorkQueue:
         self.run_dir = Path(run_dir)
         self.dir = self.run_dir / _LEASE_DIR
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.owner = owner or f"{os.uname().nodename}:{os.getpid()}"
+        self.owner = owner or _local_owner(os.getpid())
         self.ttl = float(ttl)
         self.max_attempts = max_attempts
         self.retry_base = retry_base
@@ -318,7 +323,23 @@ class WorkQueue:
                 continue                       # a racer beat us to it
         return removed
 
+    def free_dead(self, pid: int) -> None:
+        """Unlink the leases of process ``pid`` on this host, which the
+        caller knows is dead (it reaped it), so its items can be claimed
+        again after their backoff instead of after ``ttl``."""
+        owner = _local_owner(pid)
+        for path in self.dir.glob("*" + _LEASE_SUFFIX):
+            try:
+                if json.loads(path.read_text()).get("owner") == owner:
+                    path.unlink()
+            except (OSError, ValueError):
+                continue                       # released meanwhile
+
     # -- introspection ------------------------------------------------------
+
+    def claimed(self) -> bool:
+        """True once any item of this queue has been claimed."""
+        return any(self.dir.glob("*" + _ATTEMPTS_SUFFIX))
 
     def held_leases(self) -> list[dict]:
         """Parsed bodies of every live (unexpired) lease file."""

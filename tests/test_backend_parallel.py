@@ -1,9 +1,9 @@
 """Process policy tests: the BLAS pin, the heap policy, the bounded
 ``prepare_cached`` executor cache and the ``profile --compiled`` report.
 
-Every CLI process and process-pool worker pins OpenBLAS to one thread and
-keeps freed array buffers resident (:mod:`repro.backend.parallel`); these
-tests pin both, plus the cache bounds and the compiled-plan timing that
+Every CLI process and process-mode sweep helper pins OpenBLAS to one
+thread and keeps freed array buffers resident
+(:mod:`repro.backend.parallel`); these tests pin both, plus the cache bounds and the compiled-plan timing that
 ``repro profile --compiled`` prints.
 """
 
@@ -31,6 +31,11 @@ SRC = Path(repro.__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 HEAP_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
             "MALLOC_MMAP_THRESHOLD_", "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+
+
+#: A process-mode sweep helper's payload with no cells: the helper sets
+#: up its process, walks an empty ledger and returns.
+EMPTY_HELPER_PAYLOAD = pickle.dumps((None, None, None, [], []))
 
 
 def graph_for(name: str):
@@ -107,10 +112,9 @@ class TestBlasPin:
         code = "import repro.cli\nrepro.cli.main(['tasks'])"
         assert blas_width_after(code, OPENBLAS_NUM_THREADS="2") == 2
 
-    def test_process_worker_init_pins(self, blas_at_two, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_WORKER", {})
-        sweep_mod._process_worker_init(pickle.dumps((None, None, None)),
-                                       None)
+    def test_sweep_helper_pins(self, blas_at_two, tmp_path):
+        sweep_mod._sweep_helper(EMPTY_HELPER_PAYLOAD, str(tmp_path),
+                                str(tmp_path), {})
         assert parallel.blas_threads() == 1
 
     def test_no_openblas_is_a_noop(self, blas_at_two, monkeypatch):
@@ -198,11 +202,11 @@ class TestHeapPolicy:
         code = "import repro.cli\nrepro.cli.main(['tasks'])"
         assert faults_after(code) < 0.05 * default_heap_faults
 
-    def test_process_worker_init_keeps_freed_buffers_resident(
-            self, default_heap_faults):
-        code = ("import pickle\nfrom repro.core import sweep\n"
-                "sweep._process_worker_init(pickle.dumps((None, None, "
-                "None)), None)")
+    def test_sweep_helper_keeps_freed_buffers_resident(
+            self, default_heap_faults, tmp_path):
+        code = (f"from repro.core import sweep\n"
+                f"sweep._sweep_helper({EMPTY_HELPER_PAYLOAD!r}, "
+                f"{str(tmp_path)!r}, {str(tmp_path)!r}, {{}})")
         assert faults_after(code) < 0.05 * default_heap_faults
 
     def test_sets_both_thresholds_mmap_first(self, mallopt_spy):

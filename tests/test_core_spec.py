@@ -60,6 +60,17 @@ class TestFromDoc:
         with pytest.raises(ValueError, match=message):
             RunSpec.from_doc(doc)
 
+    @pytest.mark.parametrize("key, nullable", [
+        ("n", False), ("train_frac", False), ("epochs", False),
+        ("seed", False), ("retries", False), ("batch_size", True),
+        ("shard_size", True), ("workers", True)])
+    def test_null_only_where_the_default_is_null(self, key, nullable):
+        if nullable:
+            assert getattr(RunSpec.from_doc({key: None}), key) is None
+        else:
+            with pytest.raises(ValueError, match=f"^{key} must be an? "):
+                RunSpec.from_doc({key: None})
+
     def test_mitigation_spellings_resolve_to_one_identity(self):
         spelled = RunSpec.from_doc({"mitigation": ["tent:steps=1"]})
         assert spelled.mitigation == (TENT,)

@@ -120,6 +120,21 @@ class TestExpiryAndReclaim:
         fresh.release()
 
 
+    def test_free_dead_unlinks_only_that_processes_leases(self, tmp_path):
+        dead_pid = os.getpid() + 1
+        dead = make_queue(tmp_path, owner=f"{os.uname().nodename}:{dead_pid}")
+        live = make_queue(tmp_path)
+        assert not live.claimed()
+        gone = dead.try_claim("cell-a")
+        gone._stop.set()                       # the process "died"
+        gone._thread.join()
+        kept = live.try_claim("cell-b")
+        live.free_dead(dead_pid)
+        assert not gone.path.exists() and kept.path.exists()
+        assert live.claimed()
+        kept.release()
+
+
 class TestAttemptsAndBackoff:
     def test_attempts_count_claims(self, tmp_path):
         wq = make_queue(tmp_path, retry_base=0.0)

@@ -9,20 +9,29 @@ The sweep layer is the exception to "loud": a full sweep is the
 longest-running workload, so there one failing *cell* must degrade into a
 structured failure (``!`` in the table, an error entry in the run ledger)
 instead of aborting the row — and a killed process-mode sweep must resume
-from its ledger to a bit-identical table.  ``TestSweepFaultIsolation`` and
-``TestCrashResume`` cover that contract.
+from its ledger to a bit-identical table.  ``TestSweepFaultIsolation``,
+``TestCrashResume`` and ``TestProcessFleet`` (process-mode helpers on the
+lease walk) cover that contract.
 """
 
+import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.nn as nn
-from repro.core import (TRAIN_CONFIG, EvalCache, RunStore, SweepEngine,
-                        preprocess, run_manifest)
+from repro.core import (TRAIN_CONFIG, EvalCache, RunStore, SweepCancelled,
+                        SweepEngine, preprocess, run_manifest)
 from repro.image import decode_with, resize
 from repro.image.color import color_roundtrip
 from repro.image.jpeg import JpegBitstream, decode, encode
@@ -384,3 +393,185 @@ def _kill_worker_once(model, ds, cfg):
                 fh.write("x")
             os.kill(os.getpid(), signal.SIGKILL)
     return _metric(cfg)
+
+
+def _slow_eval(model, ds, cfg):
+    if cfg != TRAIN_CONFIG:
+        time.sleep(2.0)
+    return _metric(cfg)
+
+
+#: Directory _pid_eval logs helper pids into (set per test; helpers
+#: inherit it via fork).
+_pid_dir = None
+
+
+def _pid_eval(model, ds, cfg):
+    Path(_pid_dir, str(os.getpid())).touch()
+    return _metric(cfg)
+
+
+class TestProcessFleet:
+    """``mode="process"``: helpers on the shared lease walk, supervised."""
+
+    NOISES = ["decoder", "precision"]
+
+    @pytest.fixture(autouse=True)
+    def two_cores_private_tmp(self, tmp_path, monkeypatch):
+        import repro.core.sweep as sweep_mod
+        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        self.scratch = scratch
+
+    def _engine(self, **kw):
+        return SweepEngine(workers=2, eval_cache=EvalCache(),
+                           mode="process", **kw)
+
+    def test_raising_cell_error_text_equals_serial(self):
+        serial = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _raise_on_opencv, _SweepModel(), _SweepDataset(), self.NOISES)
+        proc = self._engine().noise_row(
+            _raise_on_opencv, _SweepModel(), _SweepDataset(), self.NOISES)
+        assert proc["noises"]["decoder"].errors == {
+            1: "RuntimeError: decoder backend segfault (simulated)"}
+        for name in self.NOISES:
+            assert (proc["noises"][name].errors
+                    == serial["noises"][name].errors)
+        assert proc["combined_error"] == serial["combined_error"]
+
+    def test_storeless_sweep_runs_in_helpers_and_leaves_no_scratch(
+            self, tmp_path):
+        global _pid_dir
+        _pid_dir = str(tmp_path / "pids")
+        os.mkdir(_pid_dir)
+        row = self._engine().noise_row(_pid_eval, _SweepModel(),
+                                       _SweepDataset(), self.NOISES)
+        clean = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        for name in self.NOISES:
+            assert row["noises"][name].values == clean["noises"][name].values
+        pids = {int(p) for p in os.listdir(_pid_dir)}
+        assert pids - {os.getpid()}             # cells ran in helpers
+        assert list(self.scratch.iterdir()) == []
+
+    def test_cells_landing_as_the_last_helper_exits_are_read(
+            self, monkeypatch):
+        import multiprocessing.connection as connection
+        real_wait = connection.wait
+
+        def wait_for_every_helper(objects, timeout=None):
+            for obj in objects:                 # all exit before the check
+                real_wait([obj])
+            return objects
+
+        monkeypatch.setattr(connection, "wait", wait_for_every_helper)
+        row = self._engine().noise_row(_safe_eval, _SweepModel(),
+                                       _SweepDataset(), self.NOISES)
+        clean = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        for name in self.NOISES:
+            assert row["noises"][name].errors == {}
+            assert row["noises"][name].values == clean["noises"][name].values
+
+    def test_should_stop_leaves_no_helper_and_no_scratch(self):
+        polls = []
+
+        def should_stop():
+            polls.append(time.monotonic())
+            return len(polls) >= 3              # baseline, then 2 polls in
+
+        engine = self._engine(should_stop=should_stop)
+        started = time.monotonic()
+        with pytest.raises(SweepCancelled):
+            engine.noise_row(_slow_eval, _SweepModel(), _SweepDataset(),
+                             self.NOISES)
+        assert time.monotonic() - started < 2.0   # mid-cell, not after it
+        assert multiprocessing.active_children() == []
+        assert list(self.scratch.glob("repro-sweep-*")) == []
+
+    def test_dead_helper_leases_are_freed_well_under_lease_ttl(
+            self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        ledger = store.open_or_create(TestCrashResume()._manifest(),
+                                      run_id="crash")
+        engine = self._engine(ledger=ledger, model_key="fake")
+        started = time.monotonic()
+        row = engine.noise_row(_kill_worker_on_opencv, _SweepModel(),
+                               _SweepDataset(), self.NOISES)
+        assert time.monotonic() - started < engine.lease_ttl / 3
+        assert "poisoned" in row["noises"]["decoder"].errors[1]
+        # No lease state of the sweep is left in the run directory.
+        assert not (ledger.path / "leases").exists()
+
+    def test_whole_run_sigkill_then_resume_quarantines_nothing(
+            self, tmp_path):
+        args = ["--model", "mcunet-293kb", "--n", "24", "--epochs", "1",
+                "--seed", "0", "--noises", "decoder,precision",
+                "--store", str(tmp_path / "runs")]
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, TMPDIR=str(self.scratch),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("REPRO_FAULTS", None)
+
+        def repro_cli(*argv, **kw):
+            return subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=300, **kw)
+
+        ref = repro_cli("run", *args, "--run-id", "ref")
+        assert ref.returncode == 0, ref.stderr
+        ledger = tmp_path / "runs" / "killed" / "ledger.jsonl"
+        slow = [{"point": "sweep.cell", "op": "sleep", "seconds": 0.5,
+                 "at": 1, "every": 1}]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", *args, "--run-id",
+             "killed", "--workers", "2", "--mode", "process"],
+            env=dict(env, REPRO_FAULTS=json.dumps(slow)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 300
+            while _ok_evals(ledger) < 2:        # the baseline and one cell
+                assert proc.poll() is None, "run ended before the kill"
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert _ok_evals(ledger) < 8            # 1 + 3 + 2 + combined + 1
+        resumed = repro_cli("resume", "killed", "--store",
+                            str(tmp_path / "runs"))
+        assert resumed.returncode == 0, resumed.stderr
+        assert _table(resumed.stdout) == _table(ref.stdout)
+        entries = [json.loads(line) for line in
+                   ledger.read_text().splitlines() if line.strip()]
+        assert [e for e in entries if e.get("status") == "error"] == []
+        assert not (ledger.parent / "leases").exists()
+
+
+def _ok_evals(ledger: Path) -> int:
+    try:
+        text = ledger.read_text()
+    except FileNotFoundError:
+        return 0
+    n = 0
+    for line in text.splitlines():
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        n += entry.get("kind") == "eval" and entry.get("status") == "ok"
+    return n
+
+
+def _table(output: str) -> list[str]:
+    """The rendered table (header, rule, row) minus its run-specific title
+    line."""
+    lines = output.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("Architecture"))
+    return [line.rstrip() for line in lines[start:start + 3]]

@@ -26,7 +26,8 @@ from repro.core import (TRAIN_CONFIG, BenchmarkSession, EvalCache, RunStore,
                         ledger_table, preprocess_dataset, run_manifest)
 from repro.core.mitigations import (MitigationSpec, checkpoint_name,
                                     get_mitigation, mitigated_digest,
-                                    mitigation_identity, mitigation_names,
+                                    mitigation_identity, mitigation_labels,
+                                    mitigation_names,
                                     mitigation_partials, mitigation_stage,
                                     mitigation_train, register_mitigation,
                                     split_mitigation_name,
@@ -126,6 +127,15 @@ class TestRegistry:
             assert "noop" in mitigation_names()
             assert mitigation_stage("noop") == "train"
         assert "noop" not in mitigation_names()
+
+    def test_labels_name_unique_entries_and_tell_shared_names_apart(self):
+        tent1, tent2 = (mitigation_identity("tent", steps=1),
+                        mitigation_identity("tent", steps=2, lr=0.5))
+        mix = mitigation_identity("mix")
+        assert mitigation_labels([mix]) == ["mix"]
+        assert mitigation_labels([tent1, mix]) == ["tent", "mix"]
+        assert mitigation_labels([tent1, mix, tent2]) == [
+            "tent:lr=0.001,steps=1", "mix", "tent:lr=0.5,steps=2"]
 
     def test_stage_from_identity_or_name(self):
         assert mitigation_stage(mitigation_identity("tent")) == "test"
@@ -311,6 +321,21 @@ class TestSweepModeParity:
         assert serial == proc
         assert serial == shared
         assert set(serial) == {"mcunet-293kb", "mcunet-293kb+tent"}
+
+    def test_two_parameterisations_of_one_mitigation_get_two_rows(
+            self, tiny_cls, tmp_path):
+        _, val = tiny_cls
+        session = (Session().task("cls").model("mcunet-293kb").dataset(val)
+                   .noises("color").combined(False)
+                   .mitigate("tent", steps=1).mitigate("tent", steps=2)
+                   .store(tmp_path, run_id="r"))
+        result = session.run()
+        labels = ["mcunet-293kb", "mcunet-293kb+tent:steps=1",
+                  "mcunet-293kb+tent:steps=2"]
+        assert list(result.rows()) == labels
+        table = result.render(title="t")
+        assert table == ledger_table(RunStore(tmp_path).open("r"), title="t")
+        assert all(label in table for label in labels)
 
     def test_session_rejects_duplicate_and_wrong_task(self, tiny_cls):
         _, val = tiny_cls
