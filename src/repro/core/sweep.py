@@ -58,6 +58,7 @@ parallelise, and reuse one engine to share its cache across calls.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import pickle
@@ -230,6 +231,10 @@ class SweepEngine:
             stage = mitigation_stage(mitigation)
             self._test_mitigation = mitigation if stage == "test" else None
         self._workqueue = None
+        #: A process-mode helper's ``{ledger key: ts}`` of the error entries
+        #: recorded before its sweep began, which :func:`_final` does not
+        #: count as answers (see :meth:`_fleet_map`).
+        self._stale: dict = {}
         self._ledger_writes_failed = False
         self.eval_cache = eval_cache if eval_cache is not None else EvalCache()
 
@@ -617,7 +622,7 @@ class SweepEngine:
             self.ledger.refresh()
             progressed = False
             for i in sorted(unresolved):
-                out = self.ledger.outcome(*lkeys[i])
+                out = _final(self.ledger, lkeys[i], self._stale)
                 if out is None:
                     continue
                 if out.get("status") == "ok":
@@ -693,14 +698,23 @@ class SweepEngine:
         raises draw from the same ``max_claims`` budget, after which the
         next claimer quarantines a cell whose claims died
         (:meth:`_shared_poison`).
+
+        ``should_stop`` is polled before every claim, so a cancelled walk
+        (or an orphaned process-mode helper) stops at the next cell or
+        shard boundary, not at the end of its pass; nor does a worker that
+        can no longer write the ledger claim more work (see
+        :meth:`_shared_map`).
         """
+        self._check_cancelled()
+        if self._ledger_writes_failed:
+            return False
         tag = self._cell_tag(lkey)
         plan = self._shard_plan(ds)
         if plan is not None and shard is not None:
             adapter, _ = plan
             start, stop = shard
             if (self._ledger_shard_hit(lkey, start, stop) is not None
-                    or self.ledger.outcome(*lkey) is not None):
+                    or _final(self.ledger, lkey, self._stale) is not None):
                 return False                   # done, or the cell failed
             item = f"shard-{tag}-{start}-{stop}"
             lease = wq.try_claim(item)
@@ -742,7 +756,7 @@ class SweepEngine:
             return False
         try:
             self.ledger.refresh()
-            if self.ledger.outcome(*lkey) is not None:
+            if _final(self.ledger, lkey, self._stale) is not None:
                 return True
             if wq.poisoned(item):
                 self._shared_poison(wq, item, lkey, noise, cfg)
@@ -808,20 +822,30 @@ class SweepEngine:
                    ) -> tuple[list[float], dict[int, str]] | None:
         """Run the cells as helper processes walking :meth:`_shared_map`.
 
-        Cache and ledger hits resolve here; the rest go to
-        ``min(effective_workers, pending)`` helpers that each run the
-        shared lease walk over the run's ledger (a temporary one for a
-        store-less session), so they divide the cells shard-major exactly
-        like ``repro worker`` fleets.  Their leases live in a per-sweep
-        scratch directory: claim budgets count this sweep's attempts only,
-        with ``retries + 1`` claims per cell.  The parent only supervises
-        (:meth:`_supervise`), then reads every outcome back from the ledger
-        into its :class:`EvalCache`.
+        Cache and ledger hits resolve here; the rest go to up to
+        ``effective_workers`` helpers that each run the shared lease walk
+        over the run's ledger (a temporary one for a store-less session),
+        so they divide the cells shard-major exactly like ``repro worker``
+        fleets.  Their leases live in a per-sweep scratch directory: claim
+        budgets count this sweep's attempts only, with ``retries + 1``
+        claims per cell.  A cell whose only ledger entry is an error is
+        pending like any other: the helpers are told to ignore that entry,
+        so a resumed process sweep re-attempts failed cells as a serial one
+        does.  The parent only supervises (:meth:`_supervise`), then reads
+        every outcome back from the ledger into its :class:`EvalCache`.
 
-        Returns None — falling back to the thread/serial path — when fewer
-        than two cells are left, the dataset has no ledger identity, the
-        payload is not picklable, or no helper could start working.
+        When a helper cannot write the ledger or its leases, the fleet
+        stops and the cells still unresolved run here, through the local
+        path, which degrades to unledgered if the ledger is what failed
+        (:meth:`_ledger_record`).  Returns None — falling back to the
+        thread/serial path — when this engine's ledger writes have failed,
+        fewer than two work items are left (cells, or the cells' missing
+        shards for a sharded dataset), the dataset has no ledger identity,
+        the payload is not picklable, no scratch directory can be made, or
+        no helper could start working.
         """
+        if self._ledger_writes_failed:
+            return None
         values: list[float] = [float("nan")] * len(cfgs)
         cells: list[int] = []
         for i, cfg in enumerate(cfgs):
@@ -839,8 +863,23 @@ class SweepEngine:
             else:
                 values[i] = hit
         lkeys = [self._cell_identity(model, ds, cfgs[i]) for i in cells]
-        if len(cells) < 2 or None in lkeys:
+        if not cells or None in lkeys:
+            return None
+        plan = self._shard_plan(ds)
+        if plan is None:
+            work = len(cells)
+        else:
+            work = sum(self.ledger is None
+                       or self.ledger.lookup_shard(*lkey, a, b) is None
+                       for lkey in lkeys for a, b in plan[1])
+        if work < 2:
             return None                        # nothing worth forking for
+        stale = {}
+        if self.ledger is not None:
+            for lkey in lkeys:
+                out = self.ledger.outcome(*lkey)
+                if out is not None:            # an error: ok would have hit
+                    stale[lkey] = out.get("ts")
         try:
             payload = pickle.dumps((evaluate, model, ds,
                                     [cfgs[i] for i in cells],
@@ -850,23 +889,50 @@ class SweepEngine:
                            "picklable: %s); falling back to threads", exc)
             return None
         from .runstore import RunLedger
+        from .workqueue import WorkQueue
         helper_kw = dict(model_key=lkeys[0][0], shard_size=self.shard_size,
                          task=self.task, batch_size=self.batch_size,
                          lease_ttl=self.lease_ttl,
                          max_claims=self.retries + 1,
                          mitigation=self.mitigation)
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
-            ledger = (self.ledger if self.ledger is not None else
-                      RunLedger.create(os.path.join(scratch, "ledger"), {}))
-            if not self._supervise(payload, ledger, scratch, helper_kw,
-                                   lkeys):
+        with contextlib.ExitStack() as stack:
+            try:
+                scratch = stack.enter_context(tempfile.TemporaryDirectory(
+                    prefix="repro-sweep-", ignore_cleanup_errors=True))
+                ledger = (self.ledger if self.ledger is not None else
+                          RunLedger.create(os.path.join(scratch, "ledger"),
+                                           {}))
+                wq = WorkQueue(scratch)        # the helpers' lease namespace
+            except OSError as exc:
+                logger.warning("process sweep unavailable (no scratch "
+                               "directory: %s); falling back to threads",
+                               exc)
+                return None
+
+            def resolved() -> bool:
+                ledger.refresh()
+                return all(_final(ledger, k, stale) is not None
+                           for k in lkeys)
+
+            state = self._supervise(
+                (payload, str(ledger.path), scratch, helper_kw, stale,
+                 os.getpid()), wq, resolved, work)
+            if state == "idle":
                 logger.warning("process sweep helpers could not start; "
                                "falling back to threads")
                 return None
+            if state == "unledgered":
+                logger.warning("process sweep helpers could not write the "
+                               "ledger or their leases; computing the "
+                               "remaining cells in this process")
+            ledger.refresh()
             errors: dict[int, str] = {}
+            local: list[int] = []
             for i, lkey in zip(cells, lkeys):
-                out = ledger.outcome(*lkey)
-                if out is None:
+                out = _final(ledger, lkey, stale)
+                if out is None and state == "unledgered":
+                    local.append(i)
+                elif out is None:
                     errors[i] = "worker crashed"
                     self._ledger_record(self._ledger_key(model, ds, cfgs[i]),
                                         status="error", error=errors[i],
@@ -880,42 +946,47 @@ class SweepEngine:
                         self.eval_cache.put(key, values[i])
                 else:
                     errors[i] = str(out.get("error", "unknown failure"))
+        results = self.map(
+            lambda i: self._eval_one(evaluate, model, ds, cfgs[i],
+                                     noise=names[i]), local)
+        for i, (value, error) in zip(local, results):
+            values[i] = value
+            if error is not None:
+                errors[i] = _err_str(error)
         return values, errors
 
-    def _supervise(self, payload: bytes, ledger, scratch: str,
-                   helper_kw: dict, lkeys: list[tuple]) -> bool:
-        """Keep helpers running until every cell in ``lkeys`` is resolved.
+    def _supervise(self, args: tuple, wq, resolved, work: int) -> str:
+        """Keep helpers running until ``resolved()`` holds.
 
-        The parent never claims, so it holds no lease heartbeat thread when
-        it forks.  A helper that dies has its leases removed at once (a
+        ``args`` are :func:`_sweep_helper`'s and ``wq`` is the helpers'
+        lease queue.  The parent never claims, so it holds no lease
+        heartbeat thread when it forks.  ``min(effective_workers, work)``
+        helpers start; one that dies has its leases removed at once (a
         replacement need not wait out ``lease_ttl``) and is replaced while
-        cells are unresolved, up to ``cells × (retries + 1) + helpers``
+        cells are unresolved, up to ``work × (retries + 1) + helpers``
         starts in all; what is still unresolved after that is the caller's
         ``worker crashed``.  Helpers still polling when the last cell lands
         are terminated, as they are when ``should_stop`` fires, which
-        raises :class:`SweepCancelled`.  Returns False when every helper
-        died before any of them made a claim (nothing started working).
+        raises :class:`SweepCancelled`.
+
+        Returns ``"done"``; ``"idle"`` when every helper died before any of
+        them made a claim (nothing started working); ``"unledgered"`` as
+        soon as a helper reports that it could not write the ledger or its
+        leases.
         """
         import multiprocessing
         from multiprocessing.connection import wait
 
-        from .workqueue import WorkQueue
-        wq = WorkQueue(scratch)                # the helpers' lease namespace
-        width = min(self.effective_workers, len(lkeys))
-        budget = len(lkeys) * (self.retries + 1) + width
+        width = min(self.effective_workers, work)
+        budget = work * (self.retries + 1) + width
         logger.info("sweep fan-out: %d workers requested, %d effective "
                     "(cores available: %d, mode=process)",
                     self.workers, width, available_cores())
         helpers: list = []
 
-        def resolved() -> bool:
-            ledger.refresh()
-            return all(ledger.outcome(*k) is not None for k in lkeys)
-
         def start() -> None:
-            proc = multiprocessing.Process(
-                target=_sweep_helper, daemon=True,
-                args=(payload, str(ledger.path), scratch, helper_kw))
+            proc = multiprocessing.Process(target=_sweep_helper, daemon=True,
+                                           args=args)
             proc.start()
             helpers.append(proc)
 
@@ -932,16 +1003,18 @@ class SweepEngine:
                     helpers.remove(proc)
                     if proc.exitcode == 0:
                         continue               # it saw every cell resolved
+                    if proc.exitcode == _UNLEDGERED:
+                        return "unledgered"
                     logger.warning("sweep helper %d exited with %d",
                                    proc.pid, proc.exitcode)
                     wq.free_dead(proc.pid)
                     claimed = wq.claimed()
                     if not claimed and not helpers:
-                        return False           # none got as far as a claim
+                        return "idle"          # none got as far as a claim
                     if claimed and started < budget and not resolved():
                         start()
                         started += 1
-            return True
+            return "done"
         finally:
             for proc in helpers:
                 proc.terminate()
@@ -1034,13 +1107,36 @@ class SweepEngine:
 # Process-mode helper side
 # ---------------------------------------------------------------------------
 
+#: A helper's exit status when it could not write the ledger or its
+#: leases: its results cannot reach the parent, so restarting it would
+#: only repeat the work.
+_UNLEDGERED = 3
+
+
+def _final(ledger, lkey, stale: dict) -> dict | None:
+    """``ledger.outcome`` for one cell, except the error entry ``stale``
+    (``{ledger key: ts}``) names: an error recorded before a process sweep
+    began is not that sweep's answer."""
+    out = ledger.outcome(*lkey)
+    if (out is not None and out.get("status") != "ok" and lkey in stale
+            and out.get("ts") == stale[lkey]):
+        return None
+    return out
+
+
 def _sweep_helper(payload: bytes, ledger_path: str, scratch: str,
-                  engine_kw: dict) -> None:
+                  engine_kw: dict, stale: dict, parent: int) -> None:
     """One process-mode helper: the shared lease walk over one ledger.
 
     ``payload`` pickles ``(evaluate, model, ds, cfgs, names)``; the leases
-    live under ``scratch``.  Exits non-zero when the walk cannot
-    coordinate (its ledger writes failed).
+    live under ``scratch``; ``stale`` names the error entries that do not
+    resolve a cell (see :func:`_final`).  ``parent`` is the sweep
+    process's pid: a helper is its child (fork or spawn start method), and
+    once it is re-parented — the sweep process was SIGKILLed or OOM-killed
+    — it stops at its next cell instead of walking the sweep alone.  Exits
+    with :data:`_UNLEDGERED` when the walk cannot write the ledger or its
+    leases (evaluation errors never escape the walk; an ``OSError`` that
+    does is the walk's own storage failing).
     """
     # N helpers whose GEMMs each fan out over OpenBLAS's own threads
     # oversubscribe the host, so helpers pin a one-thread BLAS (an
@@ -1052,9 +1148,19 @@ def _sweep_helper(payload: bytes, ledger_path: str, scratch: str,
     from .runstore import RunLedger
     from .workqueue import WorkQueue
     engine = SweepEngine(mode="shared", ledger=RunLedger(ledger_path),
-                         pipeline_cache=DecodeCache(), **engine_kw)
+                         pipeline_cache=DecodeCache(),
+                         should_stop=lambda: os.getppid() != parent,
+                         **engine_kw)
     engine._workqueue = WorkQueue(scratch, ttl=engine.lease_ttl,
                                   max_attempts=engine.max_claims)
-    if engine._shared_map(evaluate, model, ds, cfgs, names) is None:
-        raise SystemExit(1)
-
+    engine._stale = stale
+    try:
+        out = engine._shared_map(evaluate, model, ds, cfgs, names)
+    except SweepCancelled:
+        raise SystemExit(1)                    # orphaned; nobody reads it
+    except OSError as exc:
+        logger.warning("sweep helper cannot use its ledger or leases (%s)",
+                       exc)
+        raise SystemExit(_UNLEDGERED)
+    if out is None:
+        raise SystemExit(_UNLEDGERED)

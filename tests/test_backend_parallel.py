@@ -114,7 +114,7 @@ class TestBlasPin:
 
     def test_sweep_helper_pins(self, blas_at_two, tmp_path):
         sweep_mod._sweep_helper(EMPTY_HELPER_PAYLOAD, str(tmp_path),
-                                str(tmp_path), {})
+                                str(tmp_path), {}, {}, os.getppid())
         assert parallel.blas_threads() == 1
 
     def test_no_openblas_is_a_noop(self, blas_at_two, monkeypatch):
@@ -204,9 +204,10 @@ class TestHeapPolicy:
 
     def test_sweep_helper_keeps_freed_buffers_resident(
             self, default_heap_faults, tmp_path):
-        code = (f"from repro.core import sweep\n"
+        code = (f"import os\nfrom repro.core import sweep\n"
                 f"sweep._sweep_helper({EMPTY_HELPER_PAYLOAD!r}, "
-                f"{str(tmp_path)!r}, {str(tmp_path)!r}, {{}})")
+                f"{str(tmp_path)!r}, {str(tmp_path)!r}, {{}}, {{}}, "
+                f"os.getppid())")
         assert faults_after(code) < 0.05 * default_heap_faults
 
     def test_sets_both_thresholds_mmap_first(self, mallopt_spy):

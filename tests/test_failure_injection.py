@@ -14,6 +14,7 @@ from its ledger to a bit-identical table.  ``TestSweepFaultIsolation``,
 lease walk) cover that contract.
 """
 
+import errno
 import json
 import multiprocessing
 import os
@@ -505,6 +506,109 @@ class TestProcessFleet:
         # No lease state of the sweep is left in the run directory.
         assert not (ledger.path / "leases").exists()
 
+    def test_process_resume_reruns_cells_that_failed_before(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        ledger = store.open_or_create(TestCrashResume()._manifest(),
+                                      run_id="flaky")
+        first = SweepEngine(eval_cache=EvalCache(), ledger=ledger,
+                            model_key="fake").noise_row(
+            _raise_on_opencv, _SweepModel(), _SweepDataset(), self.NOISES)
+        assert first["noises"]["decoder"].errors and first["combined_error"]
+        resumed = self._engine(ledger=store.open("flaky"),
+                               model_key="fake").noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        clean = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        for name in self.NOISES:
+            assert resumed["noises"][name].errors == {}
+            assert (resumed["noises"][name].values
+                    == clean["noises"][name].values)
+        assert "combined_error" not in resumed
+        assert resumed["combined"] == clean["combined"]
+
+    @pytest.mark.parametrize("failing", ["ledger", "leases"])
+    def test_unwritable_storage_computes_the_rest_without_restarts(
+            self, failing, tmp_path, monkeypatch):
+        from repro.core.runstore import RunLedger
+        from repro.core.workqueue import WorkQueue
+        real_record, real_claim = RunLedger.record_eval, WorkQueue.try_claim
+        claims = []                             # per process after the fork
+
+        def ledger_full(self, *args, **kw):
+            if kw.get("noise") != "baseline":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_record(self, *args, **kw)
+
+        def leases_full_after_one_claim(self, *args, **kw):
+            claims.append(args)
+            if len(claims) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_claim(self, *args, **kw)
+
+        if failing == "ledger":
+            monkeypatch.setattr(RunLedger, "record_eval", ledger_full)
+        else:                                   # only helpers claim
+            monkeypatch.setattr(WorkQueue, "try_claim",
+                                leases_full_after_one_claim)
+        global _pid_dir
+        _pid_dir = str(tmp_path / "pids")
+        os.mkdir(_pid_dir)
+        store = RunStore(tmp_path / "runs")
+        ledger = store.open_or_create(TestCrashResume()._manifest(),
+                                      run_id="full")
+        engine = self._engine(ledger=ledger, model_key="fake")
+        row = engine.noise_row(_pid_eval, _SweepModel(), _SweepDataset(),
+                               self.NOISES)
+        clean = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        for name in self.NOISES:
+            assert row["noises"][name].errors == {}
+            assert row["noises"][name].values == clean["noises"][name].values
+        assert row["combined"] == clean["combined"]
+        helpers = {int(p) for p in os.listdir(_pid_dir)} - {os.getpid()}
+        assert len(helpers) <= 2                # none was restarted
+        if failing == "leases":                 # the parent ledgered the rest
+            assert store.open("full").counts()["ok"] == 7
+
+    def test_storeless_sweep_without_a_scratch_dir_uses_threads(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        row = self._engine().noise_row(_safe_eval, _SweepModel(),
+                                       _SweepDataset(), self.NOISES)
+        clean = SweepEngine(eval_cache=EvalCache()).noise_row(
+            _safe_eval, _SweepModel(), _SweepDataset(), self.NOISES)
+        for name in self.NOISES:
+            assert row["noises"][name].errors == {}
+            assert row["noises"][name].values == clean["noises"][name].values
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads helper states from /proc")
+    def test_helpers_of_a_killed_sweep_stop_at_their_next_cell(
+            self, tmp_path):
+        global _pid_dir
+        _pid_dir = str(tmp_path / "pids")
+        os.mkdir(_pid_dir)
+        ledger = RunStore(tmp_path / "runs").open_or_create(
+            TestCrashResume()._manifest(), run_id="orphan")
+        sweep = multiprocessing.get_context("fork").Process(
+            target=_orphaned_sweep, args=(str(ledger.path),))
+        sweep.start()
+        deadline = time.monotonic() + 60
+        while len(os.listdir(_pid_dir)) < 2:    # both helpers are mid-cell
+            assert sweep.exitcode is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        os.kill(sweep.pid, signal.SIGKILL)      # the sweep process only
+        sweep.join()
+        helpers = [int(p) for p in os.listdir(_pid_dir)]
+        deadline = time.monotonic() + 10
+        while not all(_exited(pid) for pid in helpers):
+            assert time.monotonic() < deadline, "orphaned helpers kept going"
+            time.sleep(0.05)
+        landed = _ok_evals(ledger.path / "ledger.jsonl")
+        assert landed < 7                       # 1 + 3 + 2 + combined
+        time.sleep(1.5)                         # longer than one cell
+        assert _ok_evals(ledger.path / "ledger.jsonl") == landed
+
     def test_whole_run_sigkill_then_resume_quarantines_nothing(
             self, tmp_path):
         args = ["--model", "mcunet-293kb", "--n", "24", "--epochs", "1",
@@ -551,6 +655,31 @@ class TestProcessFleet:
                    ledger.read_text().splitlines() if line.strip()]
         assert [e for e in entries if e.get("status") == "error"] == []
         assert not (ledger.parent / "leases").exists()
+
+
+def _slow_pid_eval(model, ds, cfg):
+    if cfg != TRAIN_CONFIG:
+        Path(_pid_dir, str(os.getpid())).touch()
+        time.sleep(1.0)
+    return _metric(cfg)
+
+
+def _orphaned_sweep(ledger_path: str) -> None:
+    from repro.core.runstore import RunLedger
+    SweepEngine(workers=2, eval_cache=EvalCache(), mode="process",
+                ledger=RunLedger(ledger_path), model_key="fake").noise_row(
+        _slow_pid_eval, _SweepModel(), _SweepDataset(),
+        TestProcessFleet.NOISES)
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie (its new parent may not reap
+    it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
 
 
 def _ok_evals(ledger: Path) -> int:

@@ -8,6 +8,8 @@ dataset), the streamed evaluation reproduces the monolithic metric
 ledger lets a resume re-execute only the missing shards.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,22 @@ class TestShardedSweeps:
         mono = _session().run().render("parity")
         proc = _session(shard=8, workers=2, mode="process").run()
         assert proc.render("parity") == mono
+
+    def test_one_sharded_cell_still_runs_in_process_helpers(
+            self, monkeypatch, caplog):
+        import repro.core.sweep as sweep_mod
+        monkeypatch.setattr(sweep_mod, "available_cores", lambda: 2)
+        curves = {}
+        for mode in ("thread", "process"):
+            s = _session(shard=8, workers=2, mode=mode)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.core.sweep"):
+                curves[mode] = s.engine().worst_case_curve(
+                    s._eval_fn(s.adapter), s.trained_model, s.eval_data,
+                    ["precision"])
+        assert len(curves["process"]) == 1      # one cell, five shards
+        assert curves["process"] == curves["thread"]
+        assert any("mode=process" in r.getMessage() for r in caplog.records)
 
     def test_shard_resume_reexecutes_only_missing_shards(self, tmp_path,
                                                          monkeypatch):
